@@ -19,9 +19,7 @@ Every component asserts **bit-identical** probabilities between the
 kernel and ``predict_proba_legacy`` before any timing is recorded, plus a
 randomized input sweep; the headline ``kernel_speedup`` (total legacy
 time / total kernel time over all components) is regression-gated in
-``BENCH_packet_stream.json``.  When the optional numba backend is
-importable the same workload is repeated on it (and asserted identical);
-otherwise ``numba_available`` records ``false``.
+``BENCH_packet_stream.json``.
 
 Run standalone::
 
@@ -49,7 +47,7 @@ if BENCH_DIR not in sys.path:
 
 from conftest import build_deployment_corpus, fit_deployment_pipeline  # noqa: E402
 from repro.ml.forest import RandomForestClassifier  # noqa: E402
-from repro.ml.kernel import ForestKernel, available_backends  # noqa: E402
+from repro.ml.kernel import ForestKernel  # noqa: E402
 
 #: Rows per chunk of the streaming-shaped stage trace (the live feed ticks
 #: classify the newly completed slots of ~24 concurrent sessions per batch).
@@ -222,23 +220,12 @@ def run_benchmark(corpus=None, pipeline=None) -> dict:
 
     results = {
         "n_sessions": len(corpus),
-        "numba_available": "numba" in available_backends(),
         "compile_s": compile_s,
         "kernel_state_bytes": int(kernel_nbytes),
         "per_forest": per_forest,
         "bit_identical": True,
         **totals,
     }
-    if results["numba_available"]:
-        numba_kernels = {
-            name: ForestKernel.from_forest(forest, backend="numba")
-            for name, forest in forests.items()
-        }
-        _, numba_totals = _workload_times(forests, numba_kernels, matrices)
-        results["workload_numba_s"] = numba_totals["workload_kernel_s"]
-        results["kernel_speedup_numba"] = (
-            numba_totals["workload_legacy_s"] / numba_totals["workload_kernel_s"]
-        )
     return results
 
 

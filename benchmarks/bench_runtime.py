@@ -430,21 +430,22 @@ def run_recovery_benchmark(corpus=None, pipeline=None) -> dict:
 
 
 def run_sharded_shm_benchmark(corpus=None, pipeline=None) -> dict:
-    """Shared-memory data plane vs pickle-over-pipe: throughput and volume.
+    """Shared-memory column rings vs inline pickling: throughput and volume.
 
     Replays ``N_FEED_SESSIONS`` concurrent sessions through the fork
-    backend twice — once on the shared-memory column rings
-    (``data_plane="shm"``, DESIGN.md §12) and once on the legacy
-    pickle-over-pipe plane — asserting both runs' close reports are
-    identical to the serial backend before reporting any number.  The
-    regression-gated headlines are ``packets_per_s`` /
-    ``packets_per_s_per_core`` (shm-plane live-feed throughput; per-core
-    divides by the cores the parent and workers can actually occupy),
-    ``shm_ring_peak_bytes`` (un-pruned slot footprint — bounded by the §8
-    checkpoint cadence) and ``payload_reduction_ratio`` (pipe-plane pickle
-    volume over shm-plane control-message volume: the "pipes carry control
-    messages only" claim as a number).  ``shm_fallback_ticks`` must be 0 —
-    a correctly sized ring never degrades to inline pickles.
+    backend twice — once on the default shared-memory column rings
+    (DESIGN.md §12) and once on a one-row ring, where every tick overflows
+    its slot and is pickled inline down the pipe (the ``pipe_*`` keys) —
+    asserting both runs' close reports are identical to the serial backend
+    before reporting any number.  The regression-gated headlines are
+    ``packets_per_s`` / ``packets_per_s_per_core`` (ring live-feed
+    throughput; per-core divides by the cores the parent and workers can
+    actually occupy), ``shm_ring_peak_bytes`` (un-pruned slot footprint —
+    bounded by the §8 checkpoint cadence) and ``payload_reduction_ratio``
+    (inline pickle volume over ring control-message volume: the "pipes
+    carry control messages only" claim as a number).
+    ``shm_fallback_ticks`` must be 0 — a correctly sized ring never
+    degrades to inline pickles.
     """
     if corpus is None:
         corpus = build_deployment_corpus()
@@ -456,10 +457,8 @@ def run_sharded_shm_benchmark(corpus=None, pipeline=None) -> dict:
     def feed():
         return SessionFeed(sessions, batch_seconds=FEED_BATCH_SECONDS)
 
-    def engine(backend, data_plane="auto"):
-        return ShardedEngine(
-            pipeline, n_workers=n_workers, backend=backend, data_plane=data_plane
-        )
+    def engine(backend, **ring):
+        return ShardedEngine(pipeline, n_workers=n_workers, backend=backend, **ring)
 
     def drive(sharded):
         start = time.perf_counter()
@@ -483,14 +482,15 @@ def run_sharded_shm_benchmark(corpus=None, pipeline=None) -> dict:
             [reports[key] for key in ordered],
         )
 
-    # best-of-2 per plane: fork feeds on a loaded box can catch a stall that
-    # dwarfs the data plane being measured
+    # best-of-2 per ring: fork feeds on a loaded box can catch a stall that
+    # dwarfs the data plane being measured; the one-row ring sends every
+    # tick inline, the payload format rings replace
     plane_stats = {}
     plane_best = {}
-    for plane in ("shm", "pipe"):
+    for plane, ring in (("shm", {}), ("pipe", {"ring_slot_rows": 1})):
         best = float("inf")
         for _ in range(2):
-            sharded = engine("fork", data_plane=plane)
+            sharded = engine("fork", **ring)
             elapsed, reports, _packets = drive(sharded)
             check(reports)
             best = min(best, elapsed)
@@ -498,7 +498,6 @@ def run_sharded_shm_benchmark(corpus=None, pipeline=None) -> dict:
         plane_stats[plane] = sharded.last_feed_stats
 
     shm_stats, pipe_stats = plane_stats["shm"], plane_stats["pipe"]
-    assert shm_stats["data_plane"] == "shm"
     assert shm_stats["shm_fallback_ticks"] == 0
     assert shm_stats["shm_ring_peak_bytes"] > 0
     assert pipe_stats["shm_ring_peak_bytes"] == 0
@@ -659,11 +658,11 @@ def main() -> None:
     shm = results["sharded_shm"]
     print(
         f"shm data plane: {shm['packets_per_s']:,.0f} packets/s "
-        f"({shm['packets_per_s_per_core']:,.0f}/core), pipe payload "
+        f"({shm['packets_per_s_per_core']:,.0f}/core), inline payload "
         f"{shm['pipe_payload_total_bytes']:,} B -> {shm['control_payload_total_bytes']:,} B "
         f"control messages ({shm['payload_reduction_ratio']:.0f}x less), shm ring "
         f"peak {shm['shm_ring_peak_bytes']:,} B, {shm['shm_fallback_ticks']} fallback "
-        "ticks; reports identical on both planes"
+        "ticks; reports identical with and without the rings"
     )
     fleet = results["fleet_rollup"]
     print(

@@ -13,7 +13,9 @@ trajectory is tracked per PR.
 Before overwriting the snapshot, the freshly measured metrics are compared
 against the committed baseline: any timing metric that regressed by more
 than 2x (or any speedup ratio that halved) fails the run with a non-zero
-exit status, so CI fails loudly on perf regressions (see ROADMAP.md).
+exit status, so CI fails loudly on perf regressions (see ROADMAP.md).  A
+committed metric that a measured section no longer produces fails the run
+too, so a gated number cannot drop out of the gate unnoticed.
 Metrics with sub-millisecond baselines are exempt from the gate — at that
 scale the comparison would only measure scheduler noise.  Every run also
 appends one record (git SHA + every numeric metric) to
@@ -34,11 +36,11 @@ gate: approx QoE state flat under a 4x packets-per-session step.  The
 checkpoint-restore + ring-replay latency and the replay ring's peak bytes
 (close reports asserted identical to the serial backend first); both are
 regression-gated like the timings.  The ``sharded_shm`` section replays
-the live feed on the shared-memory column rings (DESIGN.md §12) and on
-the legacy pickle-over-pipe plane — close reports asserted identical to
-the serial backend on both planes first — and regression-gates the
-shm-plane throughput, the ring's peak un-pruned slot bytes and the
-pipe-vs-control payload reduction ratio.  The ``fleet_rollup`` section times the
+the live feed on the shared-memory column rings (DESIGN.md §12) and on a
+one-row ring whose every tick is pickled inline down the pipe — close
+reports asserted identical to the serial backend on both runs first — and
+regression-gates the ring throughput, the ring's peak un-pruned slot bytes
+and the inline-vs-control payload reduction ratio.  The ``fleet_rollup`` section times the
 fleet analytics tier's offline fold (QoE windows folded per second) and
 records its retained state per rollup key, asserting the fold's aggregator
 digest is bit-identical to the live streaming engine's first; the fold
@@ -517,6 +519,8 @@ def check_against_baseline(snapshot, baseline, factor=None):
     ``1/factor`` of the recorded value, byte metrics (``*_bytes``) when more
     than ``factor`` larger.  ``factor`` defaults to
     :func:`regression_factor` (env-overridable for noisy CI runners).
+    A recorded metric missing from a section this run measured is a
+    failure as well; sections the run skipped are not compared.
     """
     if factor is None:
         factor = regression_factor()
@@ -525,6 +529,12 @@ def check_against_baseline(snapshot, baseline, factor=None):
     for label, key, recorded in _numeric_leaves(baseline):
         current = fresh.get(label)
         if current is None:
+            section = label.split(".", 1)[0]
+            if section in snapshot:
+                regressions.append(
+                    f"{label}: recorded in the baseline but not produced by "
+                    f"this run's {section!r} section"
+                )
             continue
         if key.endswith("_per_s"):
             # throughput: higher is better (must not match the timing branch)

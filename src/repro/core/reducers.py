@@ -1191,11 +1191,6 @@ class ApproxQoEIntervalReducer(_IntervalSealer):
             "seq_lost": lost,
         }
 
-    @property
-    def gap_sum_s(self) -> float:
-        """Total inter-frame gap seconds (exact; diagnostics and tests)."""
-        return self._gap_sum
-
     def nbytes(self) -> int:
         total = self._gap_reservoir.nbytes()
         if self._seen is not None:

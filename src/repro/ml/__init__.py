@@ -9,7 +9,7 @@ utilities from scratch on top of numpy:
 * :mod:`repro.ml.tree` — CART decision tree classifier.
 * :mod:`repro.ml.forest` — bootstrap-aggregated random forest.
 * :mod:`repro.ml.kernel` — compiled single-pass forest inference kernel
-  (bit-identical probabilities, optional numba backend).
+  (bit-identical probabilities).
 * :mod:`repro.ml.svm` — one-vs-rest kernel SVM trained with a simplified SMO.
 * :mod:`repro.ml.knn` — k-nearest-neighbour classifier.
 * :mod:`repro.ml.scaling` — standard/min-max feature scalers.
@@ -24,7 +24,7 @@ utilities from scratch on top of numpy:
 from repro.ml.base import BaseClassifier, check_Xy
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.importance import permutation_importance
-from repro.ml.kernel import ForestKernel, available_backends
+from repro.ml.kernel import ForestKernel
 from repro.ml.knn import KNeighborsClassifier
 from repro.ml.metrics import (
     accuracy_score,
@@ -52,7 +52,6 @@ __all__ = [
     "DecisionTreeClassifier",
     "RandomForestClassifier",
     "ForestKernel",
-    "available_backends",
     "SVMClassifier",
     "KNeighborsClassifier",
     "StandardScaler",

@@ -38,105 +38,15 @@ Every optimisation is exact, which the equivalence suite
 (``tests/test_forest_kernel.py``) and the ``forest_kernel`` bench section
 pin by asserting byte-equal outputs against the legacy traversal on
 randomized and real fitted forests.
-
-Backends
---------
-The default backend is pure numpy and always available.  Setting
-``REPRO_FOREST_BACKEND=numba`` (or passing ``backend="numba"``) selects an
-optional `numba`_-jitted per-row arena walker instead — the same
-sequential float comparisons the legacy single-row path performs, so its
-outputs are bit-identical too.  Numba is **not** a dependency: when it is
-missing, an explicit ``backend="numba"`` raises ``ImportError`` while the
-environment variable falls back to numpy with a warning (a deployment
-knob must not brick hosts without the optional package).
-
-.. _numba: https://numba.pydata.org/
 """
 
 from __future__ import annotations
-
-import os
-import warnings
-from typing import Optional
 
 import numpy as np
 
 from repro.ml.base import check_Xy
 
-__all__ = ["ForestKernel", "BACKEND_ENV", "available_backends"]
-
-#: environment variable selecting the default inference backend
-BACKEND_ENV = "REPRO_FOREST_BACKEND"
-
-_BACKENDS = ("numpy", "numba")
-
-try:  # optional accelerator: never a hard dependency
-    import numba as _numba
-except ImportError:  # pragma: no cover - exercised on hosts without numba
-    _numba = None
-
-#: cache of the jitted walker (compiled once per process, not per kernel)
-_NUMBA_WALKER = None
-
-
-def available_backends() -> tuple:
-    """The backends this host can actually run (``numpy`` always)."""
-    return _BACKENDS if _numba is not None else ("numpy",)
-
-
-def _resolve_backend(backend: Optional[str]) -> str:
-    """Pick the backend: explicit argument beats the environment variable.
-
-    An explicit ``"numba"`` without numba installed is an error; the same
-    request via :data:`BACKEND_ENV` degrades to numpy with a warning so a
-    fleet-wide environment default cannot break hosts missing the
-    optional package.
-    """
-    explicit = backend is not None
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV, "").strip().lower() or "numpy"
-    if backend not in _BACKENDS:
-        raise ValueError(
-            f"unknown forest backend {backend!r}; expected one of {_BACKENDS}"
-        )
-    if backend == "numba" and _numba is None:
-        if explicit:
-            raise ImportError(
-                "backend='numba' requested but numba is not installed"
-            )
-        warnings.warn(
-            f"{BACKEND_ENV}=numba but numba is not installed; "
-            "falling back to the numpy backend",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        backend = "numpy"
-    return backend
-
-
-def _numba_walker():
-    """Compile (once) the jitted per-row/per-tree arena walker."""
-    global _NUMBA_WALKER
-    if _NUMBA_WALKER is None:
-        @_numba.njit(cache=False, fastmath=False)
-        def walk(feature, threshold, right, proba, roots, X, out):
-            n_rows = X.shape[0]
-            n_trees = roots.shape[0]
-            n_classes = proba.shape[1]
-            for i in range(n_rows):
-                for t in range(n_trees):
-                    node = roots[t]
-                    # leaves carry -inf thresholds (real splits are finite)
-                    while threshold[node] != -np.inf:
-                        if X[i, feature[node]] <= threshold[node]:
-                            node = node + 1
-                        else:
-                            node = right[node]
-                    for c in range(n_classes):
-                        out[i, c] += proba[node, c]
-
-        _NUMBA_WALKER = walk
-    return _NUMBA_WALKER
+__all__ = ["ForestKernel"]
 
 
 class ForestKernel:
@@ -185,25 +95,28 @@ class ForestKernel:
         roots: np.ndarray,
         classes: np.ndarray,
         n_features: int,
-        backend: Optional[str] = None,
     ) -> None:
         self.classes_ = np.asarray(classes)
         self.n_features = int(n_features)
         self.n_trees = int(roots.size)
         self.n_classes = int(proba.shape[1])
-        self.backend = _resolve_backend(backend)
-        # the preorder arena is kept as-is: the numba backend walks it
-        # directly, and it is the layout digests/serialisation hash
-        self._feature = np.ascontiguousarray(feature, dtype=np.int32)
-        self._threshold = np.ascontiguousarray(threshold, dtype=float)
-        self._right = np.ascontiguousarray(right, dtype=np.int32)
         self.proba = np.ascontiguousarray(proba, dtype=float)
-        self._roots = np.ascontiguousarray(roots, dtype=np.int32)
-        self._compile()
+        # the preorder arena is only read while compiling, never retained
+        self._compile(
+            np.ascontiguousarray(feature, dtype=np.int32),
+            np.ascontiguousarray(threshold, dtype=float),
+            np.ascontiguousarray(right, dtype=np.int32),
+            np.ascontiguousarray(roots, dtype=np.int32),
+        )
 
     # ------------------------------------------------------------ compile
-    def _compile(self) -> None:
-        feature, threshold, right = self._feature, self._threshold, self._right
+    def _compile(
+        self,
+        feature: np.ndarray,
+        threshold: np.ndarray,
+        right: np.ndarray,
+        roots: np.ndarray,
+    ) -> None:
         internal = threshold != -np.inf
         n_features = self.n_features
 
@@ -240,7 +153,7 @@ class ForestKernel:
         # BFS re-layout with pass-through chains: iterate level frontiers
         # until every slot is a leaf; depth falls out of the loop count
         packed_levels, lchild_levels = [], []
-        frontier = self._roots.astype(np.int64)
+        frontier = roots.astype(np.int64)
         while internal[frontier].any():
             is_internal = internal[frontier]
             n_children = np.where(is_internal, 2, 1)
@@ -268,7 +181,7 @@ class ForestKernel:
 
     # ------------------------------------------------------- constructors
     @classmethod
-    def from_forest(cls, forest, backend: Optional[str] = None) -> "ForestKernel":
+    def from_forest(cls, forest) -> "ForestKernel":
         """Compile a fitted :class:`RandomForestClassifier`."""
         feature, threshold, right, proba, roots, _depth = forest._ensure_flat()
         return cls(
@@ -279,7 +192,6 @@ class ForestKernel:
             roots,
             forest.classes_,
             forest.n_features_,
-            backend=backend,
         )
 
     @classmethod
@@ -288,7 +200,6 @@ class ForestKernel:
         arrays: dict,
         classes,
         n_features: int,
-        backend: Optional[str] = None,
     ) -> "ForestKernel":
         """Compile straight from :meth:`RandomForestClassifier.export_state`.
 
@@ -313,7 +224,6 @@ class ForestKernel:
             offsets[:-1],
             classes,
             n_features,
-            backend=backend,
         )
 
     # ------------------------------------------------------------ ranking
@@ -383,8 +293,6 @@ class ForestKernel:
             raise ValueError(
                 f"expected {self.n_features} features, got {X.shape[1]}"
             )
-        if self.backend == "numba":
-            return self._predict_proba_numba(X)
         ranks = self._rank(X)
         if (
             self.DEDUP_MIN_ROWS <= X.shape[0] <= self.DEDUP_MAX_ROWS
@@ -395,26 +303,13 @@ class ForestKernel:
                 return self._accumulate(self._traverse(unique_ranks))[inverse]
         return self._accumulate(self._traverse(ranks))
 
-    def _predict_proba_numba(self, X: np.ndarray) -> np.ndarray:
-        total = np.zeros((X.shape[0], self.n_classes))
-        _numba_walker()(
-            self._feature,
-            self._threshold,
-            self._right,
-            self.proba,
-            self._roots,
-            np.ascontiguousarray(X),
-            total,
-        )
-        return total / self.n_trees
-
     def predict(self, X) -> np.ndarray:
         """Most probable class per row (same tie-breaking as the forest)."""
         return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
 
     # ------------------------------------------------------------- sizing
     def nbytes(self) -> int:
-        """Approximate compiled-table footprint (excludes the arena copy)."""
+        """Approximate compiled-table footprint in bytes."""
         tables = sum(level.nbytes for level in self._packed)
         tables += sum(level.nbytes for level in self._lchild)
         return int(

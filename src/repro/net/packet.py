@@ -392,11 +392,6 @@ class PacketStream:
 
     # ---------------------------------------------------------- constructors
     @classmethod
-    def from_packets(cls, packets: Iterable[Packet]) -> "PacketStream":
-        """Build a stream from packet objects."""
-        return cls(packets)
-
-    @classmethod
     def from_columns(
         cls, columns: PacketColumns, assume_sorted: bool = False
     ) -> "PacketStream":
@@ -608,11 +603,6 @@ class PacketStream:
             return self._columns.payload_sizes
         return self._dir_select(direction)[2]
 
-    def direction_codes(self) -> np.ndarray:
-        """The int8 direction column (0=downstream, 1=upstream)."""
-        self._materialize()
-        return self._columns.directions
-
     def direction_indices(self, direction: Direction) -> np.ndarray:
         """Row indices of one direction (cached alongside the views)."""
         return self._dir_select(direction)[0]
@@ -685,11 +675,3 @@ class PacketStream:
     def to_list(self) -> List[Packet]:
         """Materialise the stream as a list of :class:`Packet` objects."""
         return list(self)
-
-
-def merge_streams(streams: Sequence[PacketStream]) -> PacketStream:
-    """Merge several streams into one timestamp-ordered stream."""
-    if not streams:
-        return PacketStream()
-    merged = PacketColumns.concat([stream.columns() for stream in streams])
-    return PacketStream.from_columns(merged)

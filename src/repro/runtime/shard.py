@@ -52,7 +52,6 @@ from repro.runtime.demux import FlowDemux
 from repro.runtime.engine import OverloadPolicy, StreamingEngine, _check_swap_geometry
 from repro.runtime.events import ContextEvent
 from repro.runtime.faults import FaultPlan, apply_feed_faults
-from repro.runtime.shm import DATA_PLANES
 from repro.runtime.state import SESSION_MODES, FlowContext
 from repro.runtime.supervisor import ShardSupervisor
 
@@ -123,15 +122,10 @@ class ShardedEngine:
     recv_timeout_s:
         Fork backend: per-reply deadline after which an unresponsive worker
         is declared hung and recovered.
-    data_plane:
-        Fork backend: how tick batches reach the workers (DESIGN.md §12).
-        ``"shm"`` gathers each shard's rows into a shared-memory column
-        ring and sends only control messages down the pipe; ``"pipe"`` is
-        the legacy inline-pickle payload; ``"auto"`` (default) picks
-        ``"shm"`` unless the ``REPRO_DATA_PLANE`` environment variable
-        says otherwise.  Output is bit-identical on either plane.
     ring_slots / ring_slot_rows:
-        Fork backend, shm plane: slots per shard ring (default
+        Fork backend: tick batches reach the workers through one
+        shared-memory column ring per shard, with only control messages on
+        the pipe (DESIGN.md §12).  Slots per ring (default
         ``snapshot_every_ticks + 2``, covering every tick that can be
         un-checkpointed at once) and rows per slot (a larger tick falls
         back to inline pickling for that tick, counted in
@@ -157,17 +151,12 @@ class ShardedEngine:
         snapshot_every_ticks: int = 16,
         recv_timeout_s: float = 30.0,
         analytics: bool = False,
-        data_plane: str = "auto",
         ring_slots: Optional[int] = None,
         ring_slot_rows: int = 65536,
     ) -> None:
         if backend not in ("auto", "fork", "serial"):
             raise ValueError(
                 f"backend must be 'auto', 'fork' or 'serial', got {backend!r}"
-            )
-        if data_plane not in DATA_PLANES:
-            raise ValueError(
-                f"data_plane must be one of {DATA_PLANES}, got {data_plane!r}"
             )
         if session_mode not in SESSION_MODES:
             # fail fast here: deferring the check to the shard engines would
@@ -193,7 +182,6 @@ class ShardedEngine:
         self.overload = overload
         self.snapshot_every_ticks = snapshot_every_ticks
         self.recv_timeout_s = recv_timeout_s
-        self.data_plane = data_plane
         self.ring_slots = ring_slots
         self.ring_slot_rows = ring_slot_rows
         self.analytics_enabled = bool(analytics)
@@ -351,8 +339,8 @@ class ShardedEngine:
 
         Nothing is materialised here: the fork loop hands the index lists
         plus the source batch to the supervisor, which gathers the rows
-        straight into a shared-memory slot (or pickles them inline on the
-        pipe plane) — see :meth:`ShardSupervisor.send_tick_indexed`.
+        straight into a shared-memory slot (or pickles them inline when the
+        tick overflows the ring) — see :meth:`ShardSupervisor.send_tick_indexed`.
         """
         index_pairs = demux.split_indices(batch)
         shards: List[List[Tuple[FlowKey, np.ndarray]]] = [
@@ -423,7 +411,6 @@ class ShardedEngine:
             snapshot_every_ticks=self.snapshot_every_ticks,
             recv_timeout_s=self.recv_timeout_s,
             fault_plan=fault_plan,
-            data_plane=self.data_plane,
             ring_slots=self.ring_slots,
             ring_slot_rows=self.ring_slot_rows,
         )

@@ -22,7 +22,7 @@ value-exactly worker-side:
   demux canonicalisation), one interned tuple per flow and direction;
 * **absent optional columns** — presence flags ride the control message so
   an absent RTP/address column stays absent (``None``), keeping
-  ``nbytes`` accounting and engine snapshots identical to the pipe plane.
+  ``nbytes`` accounting and engine snapshots identical to an inline tick.
 
 Slot reuse is sequenced by the §8 checkpoint protocol, not by acks: a slot
 is free only once the tick that wrote it has been pruned from the replay
@@ -48,15 +48,7 @@ from repro.net.flow import FlowKey
 from repro.net.packet import UPSTREAM_CODE, PacketColumns
 from repro.runtime.demux import flow_addresses
 
-__all__ = [
-    "DATA_PLANES",
-    "SHM_NAME_PREFIX",
-    "ShmColumnRing",
-    "resolve_data_plane",
-]
-
-#: Recognised ``data_plane`` arguments of the sharded runtime.
-DATA_PLANES = ("auto", "shm", "pipe")
+__all__ = ["SHM_NAME_PREFIX", "ShmColumnRing"]
 
 #: Prefix of every ring segment name (``/dev/shm/<prefix><pid>_…`` on Linux);
 #: the lifecycle tests grep for it to prove no segment outlives its owner.
@@ -91,31 +83,6 @@ def _cleanup_live_rings() -> None:
 
 
 atexit.register(_cleanup_live_rings)
-
-
-def resolve_data_plane(requested: str) -> str:
-    """Resolve a ``data_plane`` argument to ``"shm"`` or ``"pipe"``.
-
-    ``"auto"`` (the default everywhere) prefers the shared-memory plane and
-    honours the ``REPRO_DATA_PLANE`` environment variable (``shm`` /
-    ``pipe``) — the hook CI uses to run the fault matrix on both planes.
-    An explicit ``"shm"`` / ``"pipe"`` request wins over the environment.
-
-    Raises :class:`ValueError` for an unknown argument or environment
-    value.
-    """
-    if requested not in DATA_PLANES:
-        raise ValueError(
-            f"data_plane must be one of {DATA_PLANES}, got {requested!r}"
-        )
-    if requested != "auto":
-        return requested
-    env = os.environ.get("REPRO_DATA_PLANE", "").strip().lower()
-    if env and env not in ("shm", "pipe"):
-        raise ValueError(
-            f"REPRO_DATA_PLANE must be 'shm' or 'pipe', got {env!r}"
-        )
-    return env or "shm"
 
 
 class ShmColumnRing:
@@ -261,7 +228,7 @@ class ShmColumnRing:
         per flow and direction, exactly like generator/PCAP batches.
 
         The result is value-identical to the ``(key, batch.take(rows))``
-        pairs the pipe plane would have pickled.
+        pairs the inline fallback would have pickled.
         """
         n = int(n_rows)
         local: Dict[str, Optional[np.ndarray]] = {}

@@ -38,7 +38,7 @@ Wire protocol (parent → worker / worker → parent)::
                             -> ("restored", [flow keys])
     ("close",)              -> ("closed", events, analytics | None)
 
-A tick's ``payload`` names its data plane (DESIGN.md §12):
+A tick's ``payload`` names how its rows travel (DESIGN.md §12):
 
 * ``("shm", slot, n_rows, spans, flags)`` — the batch rows live in the
   shard's shared-memory column ring
@@ -47,9 +47,8 @@ A tick's ``payload`` names its data plane (DESIGN.md §12):
   replay ring (``seq <= snapshot_seq``), so a replayed control message
   always finds its slot data intact.
 * ``("inline", pairs)`` — the demuxed ``(FlowKey, PacketColumns)`` pairs
-  pickled inline, as before: the ``data_plane="pipe"`` configuration and
-  the per-tick fallback of the shm plane (tick larger than a slot, or no
-  checkpoint-pruned slot free — ``shm_fallback_ticks`` counts these).
+  pickled inline: the per-tick overflow fallback (tick larger than a slot,
+  or no checkpoint-pruned slot free — ``shm_fallback_ticks`` counts these).
 
 ``("swap", ...)`` is a hot model swap (:meth:`ShardSupervisor.swap_all`):
 it shares the tick sequence space, so every shard applies it at the same
@@ -98,7 +97,7 @@ from repro.runtime.faults import (
     KillWorker,
     StallWorker,
 )
-from repro.runtime.shm import ShmColumnRing, resolve_data_plane
+from repro.runtime.shm import ShmColumnRing
 from repro.runtime.state import FlowContext
 
 __all__ = ["ShardSupervisor"]
@@ -124,11 +123,16 @@ def _supervised_worker(connection) -> None:
         "engine_kwargs": dict(_FORK_STATE["engine_kwargs"]),
         "contexts": dict(_FORK_STATE["contexts"]),
         "shard_index": _FORK_STATE.get("shard_index"),
-        # this shard's shared-memory column ring (None on the pipe plane);
-        # the fork inherited the parent's MAP_SHARED mapping, so slot reads
-        # observe parent writes directly — nothing to attach or pickle
-        "ring": _FORK_STATE.get("ring"),
+        # this shard's shared-memory column ring: the fork inherited the
+        # parent's MAP_SHARED mapping, so slot reads observe parent writes
+        # directly — nothing to attach or pickle
+        "ring": _FORK_STATE["ring"],
     }
+    # the fork also inherited the parent's end of this worker's pipe and of
+    # every live sibling's: close them, or the parent closing its own end
+    # (stop() on an abandoned feed) could never deliver EOF to recv() below
+    for parent_end in _FORK_STATE["parent_ends"]:
+        parent_end.close()
 
     def fresh_engine() -> StreamingEngine:
         engine = StreamingEngine(config["pipeline"], **config["engine_kwargs"])
@@ -243,7 +247,7 @@ class _ShardRecord:
         self.ring: deque = deque()
         self.ring_nbytes = 0
         # shared-memory bytes pinned by un-pruned shm ticks, and the slots
-        # currently reusable (checkpoint-pruned); empty on the pipe plane
+        # currently reusable (checkpoint-pruned)
         self.shm_nbytes = 0
         self.free_slots: deque = deque()
         self.snapshot: Optional[bytes] = None
@@ -259,8 +263,8 @@ class ShardSupervisor:
 
     Created (and owned) by :meth:`ShardedEngine.run_feed`; usable directly
     for custom feed loops.  The caller partitions each feed batch, then per
-    tick: :meth:`begin_tick`, :meth:`drain` + :meth:`send_tick` per shard
-    (double-buffered), and finally :meth:`close_all` / :meth:`stop`.
+    tick: :meth:`begin_tick`, :meth:`drain` + :meth:`send_tick_indexed` per
+    shard (double-buffered), and finally :meth:`close_all` / :meth:`stop`.
     All methods returning events may include recovery events
     (:class:`WorkerRestarted` / :class:`SessionRecovered`) when a worker had
     to be respawned.
@@ -275,7 +279,6 @@ class ShardSupervisor:
         snapshot_every_ticks: int = 16,
         recv_timeout_s: float = 30.0,
         fault_plan: Optional[FaultPlan] = None,
-        data_plane: str = "auto",
         ring_slots: Optional[int] = None,
         ring_slot_rows: int = 65536,
     ) -> None:
@@ -298,14 +301,13 @@ class ShardSupervisor:
         self.snapshot_every_ticks = snapshot_every_ticks
         self.recv_timeout_s = recv_timeout_s
         self.fault_plan = fault_plan
-        self.data_plane = resolve_data_plane(data_plane)
         # a ring must cover every simultaneously un-checkpointed tick: up to
         # snapshot_every_ticks before a prune, plus the in-flight margin
         # (double buffering keeps one outstanding; delay/duplicate faults
         # can add another) — undersizing degrades to inline fallback
         self.ring_slots = ring_slots or (snapshot_every_ticks + 2)
         self.ring_slot_rows = ring_slot_rows
-        self._rings: Optional[List[ShmColumnRing]] = None
+        self._rings: List[ShmColumnRing] = []
         self._context = mp.get_context("fork")
         self._records = [_ShardRecord(index) for index in range(n_shards)]
         self._seq = -1
@@ -329,37 +331,38 @@ class ShardSupervisor:
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> None:
-        """Allocate the data plane and fork one worker per shard (idempotent)."""
+        """Allocate the column rings and fork one worker per shard (idempotent)."""
         if self._started:
             return
         self._started = True
-        if self.data_plane == "shm":
-            # segments are allocated before the first fork so every worker
-            # (initial spawn and respawns alike) inherits the live mapping
-            self._rings = [
-                ShmColumnRing(
-                    n_slots=self.ring_slots,
-                    slot_rows=self.ring_slot_rows,
-                    shard=index,
-                )
-                for index in range(self.n_shards)
-            ]
-            for record, ring in zip(self._records, self._rings):
-                record.free_slots = deque(range(ring.n_slots))
+        # segments are allocated before the first fork so every worker
+        # (initial spawn and respawns alike) inherits the live mapping
+        self._rings = [
+            ShmColumnRing(
+                n_slots=self.ring_slots,
+                slot_rows=self.ring_slot_rows,
+                shard=index,
+            )
+            for index in range(self.n_shards)
+        ]
+        for record, ring in zip(self._records, self._rings):
+            record.free_slots = deque(range(ring.n_slots))
         for record in self._records:
             self._spawn(record)
 
     def _spawn(self, record: _ShardRecord) -> None:
         """Fork one worker (initial start and respawns share this path)."""
+        parent_end, child_end = self._context.Pipe()
         _FORK_STATE.update(
             pipeline=self.pipeline,
             engine_kwargs=self.engine_kwargs,
             contexts=self.contexts,
             shard_index=record.index,
-            ring=self._rings[record.index] if self._rings else None,
+            ring=self._rings[record.index],
+            parent_ends=[parent_end]
+            + [other.connection for other in self._records if other.connection],
         )
         try:
-            parent_end, child_end = self._context.Pipe()
             worker = self._context.Process(
                 target=_supervised_worker, args=(child_end,), daemon=True
             )
@@ -393,12 +396,11 @@ class ShardSupervisor:
                 worker.close()
             record.connection = None
             record.worker = None
-        if self._rings is not None:
-            # after every worker is reaped: no mapping outlives the unlink,
-            # so /dev/shm is clean the moment stop() returns (the lifecycle
-            # tests assert exactly this)
-            for ring in self._rings:
-                ring.destroy()
+        # after every worker is reaped: no mapping outlives the unlink, so
+        # /dev/shm is clean the moment stop() returns (the lifecycle tests
+        # assert exactly this)
+        for ring in self._rings:
+            ring.destroy()
 
     # ------------------------------------------------------------ ticking
     def begin_tick(self, clock: float) -> int:
@@ -406,19 +408,6 @@ class ShardSupervisor:
         self._seq += 1
         self._clock = max(self._clock, clock)
         return self._seq
-
-    def send_tick(
-        self, shard: int, pairs: List[Tuple[FlowKey, PacketColumns]]
-    ) -> List[ContextEvent]:
-        """Send the current tick to one shard as materialised flow pairs.
-
-        The pairs cross the pipe inline (pickled) whatever the configured
-        data plane — callers holding already-materialised sub-batches keep
-        working unchanged; :meth:`send_tick_indexed` is the shm fast path.
-        Normally returns no events; when the transmission itself reveals a
-        dead worker, recovery happens inline and its events are returned.
-        """
-        return self._send_tick_payload(shard, ("inline", list(pairs)))
 
     def send_tick_indexed(
         self,
@@ -428,21 +417,19 @@ class ShardSupervisor:
     ) -> List[ContextEvent]:
         """Send the current tick as row indices into the source batch.
 
-        On the shm plane the rows of every flow are gathered straight into
-        a free ring slot (one vectorised copy per column) and only the
-        control tuple crosses the pipe; the tick falls back to inline
-        pickling — counted in ``shm_fallback_ticks``, never wrong — when it
-        exceeds ``ring_slot_rows`` or no checkpoint-pruned slot is free.
-        On the pipe plane this materialises ``batch.take(rows)`` per flow
-        and behaves exactly like :meth:`send_tick`.
+        The rows of every flow are gathered straight into a free ring slot
+        (one vectorised copy per column) and only the control tuple crosses
+        the pipe; the tick falls back to inline pickling — counted in
+        ``shm_fallback_ticks``, never wrong — when it exceeds
+        ``ring_slot_rows`` or no checkpoint-pruned slot is free.
 
-        Returns recovery events when the transmission reveals a dead
-        worker, like :meth:`send_tick`.
+        Normally returns no events; when the transmission itself reveals a
+        dead worker, recovery happens inline and its events are returned.
         """
         record = self._records[shard]
-        ring = self._rings[shard] if self._rings is not None else None
+        ring = self._rings[shard]
         payload = None
-        if ring is not None and index_pairs:
+        if index_pairs:
             n_rows = sum(int(rows.size) for _key, rows in index_pairs)
             if record.free_slots and n_rows <= ring.slot_rows:
                 slot = record.free_slots.popleft()
@@ -577,7 +564,7 @@ class ShardSupervisor:
         replies, recovery events if a send reveals a dead worker); the
         ``ModelSwapped`` events themselves arrive with each shard's next
         drained reply.  Call between ticks, i.e. not between
-        :meth:`begin_tick` and its :meth:`send_tick`\\ s.
+        :meth:`begin_tick` and its :meth:`send_tick_indexed`\\ s.
         """
         _check_swap_geometry(self.pipeline, pipeline)
         blob = _encode_snapshot(pipeline)
@@ -787,7 +774,6 @@ class ShardSupervisor:
             "ring_peak_bytes": self.ring_peak_bytes,
             "last_snapshot_nbytes": self.last_snapshot_nbytes,
             "n_swaps": len(self._swap_history),
-            "data_plane": self.data_plane,
             "shm_ring_peak_bytes": self.shm_ring_peak_bytes,
             "shm_fallback_ticks": self.shm_fallback_ticks,
             "pipe_payload_bytes_total": self.pipe_payload_bytes_total,

@@ -132,13 +132,6 @@ class GameSession:
         """Fraction of gameplay time per stage (ground truth)."""
         return gameplay_fractions(self.timeline)
 
-    def launch_packets(self) -> PacketStream:
-        """Downstream packets of the launch stage only."""
-        launch_end = self.gameplay_start() or self.duration
-        return self.packets.between(0.0, launch_end).filter_direction(
-            Direction.DOWNSTREAM
-        )
-
     def mean_downstream_mbps(self) -> float:
         """Session-average downstream payload throughput in Mbps."""
         return self.packets.mean_throughput_mbps(Direction.DOWNSTREAM)

@@ -509,11 +509,17 @@ def fleet_reference(fitted_pipeline, fleet_sessions):
 
 
 @pytest.mark.faults
+@pytest.mark.parametrize("ring_slot_rows", [65536, 1], ids=["ring", "inline"])
 @pytest.mark.parametrize("seed", [101, 202, 303])
 def test_seeded_kill_matrix_is_bit_identical(
-    fitted_pipeline, fleet_sessions, fleet_ticks, fleet_reference, seed
+    fitted_pipeline, fleet_sessions, fleet_ticks, fleet_reference, seed, ring_slot_rows
 ):
-    """SIGKILL at seeded ticks: recovery is exact and accounted exactly once."""
+    """SIGKILL at seeded ticks: recovery is exact and accounted exactly once.
+
+    Runs on the default shared-memory ring and on a one-row ring, where
+    every tick overflows its slot and is replayed from the inline-pickle
+    fallback instead.
+    """
     plan = FaultPlan.random(
         seed, n_ticks=fleet_ticks, n_shards=2, n_kills=2, n_duplicates=1, n_delays=1
     )
@@ -523,6 +529,7 @@ def test_seeded_kill_matrix_is_bit_identical(
         backend="fork",
         snapshot_every_ticks=3,
         recv_timeout_s=60.0,
+        ring_slot_rows=ring_slot_rows,
     )
     events = list(engine.run_feed(fleet_feed(fleet_sessions), fault_plan=plan))
     restarts = [event for event in events if isinstance(event, WorkerRestarted)]
@@ -552,8 +559,13 @@ def test_seeded_kill_matrix_is_bit_identical(
     stats = engine.last_feed_stats
     assert stats["n_restarts"] == len(incidents)
     assert stats["ring_peak_bytes"] > 0
-    if stats["data_plane"] == "shm":  # the CI pipe-plane leg re-runs this test
+    if ring_slot_rows > 1:
+        assert stats["shm_fallback_ticks"] == 0
         assert stats["shm_ring_peak_bytes"] > 0
+    else:
+        # every tick routes many rows to both shards: all sends went inline
+        assert stats["shm_fallback_ticks"] == 2 * fleet_ticks
+        assert stats["shm_ring_peak_bytes"] == 0
     assert mp.active_children() == []
     assert shm_segments() == set()
 

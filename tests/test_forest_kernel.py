@@ -1,4 +1,4 @@
-"""Compiled forest kernel: bit-exact equivalence, backends, persistence.
+"""Compiled forest kernel: bit-exact equivalence and persistence.
 
 The load-bearing guarantee (ISSUE 9 acceptance): for every fitted
 :class:`~repro.ml.RandomForestClassifier`, the compiled
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.ml import RandomForestClassifier
-from repro.ml.kernel import BACKEND_ENV, ForestKernel, available_backends
+from repro.ml.kernel import ForestKernel
 from repro.runtime.persistence import load_pipeline, save_pipeline
 
 
@@ -136,51 +136,6 @@ def test_kernel_rejects_feature_count_mismatch(small_forest):
     forest, _ = small_forest
     with pytest.raises(ValueError, match="features"):
         forest.kernel.predict_proba(np.zeros((4, forest.n_features_ + 1)))
-
-
-# ---------------------------------------------------------------------------
-# backend gating (numba is optional and absent in the test image)
-# ---------------------------------------------------------------------------
-def test_available_backends_always_has_numpy():
-    assert "numpy" in available_backends()
-
-
-def test_unknown_backend_rejected(small_forest):
-    forest, _ = small_forest
-    with pytest.raises(ValueError, match="unknown forest backend"):
-        ForestKernel.from_forest(forest, backend="tpu")
-
-
-def test_explicit_numba_without_numba_raises(small_forest):
-    forest, _ = small_forest
-    if "numba" in available_backends():
-        pytest.skip("numba installed: explicit request is honoured")
-    with pytest.raises(ImportError, match="numba"):
-        ForestKernel.from_forest(forest, backend="numba")
-
-
-def test_env_numba_without_numba_degrades_with_warning(
-    small_forest, monkeypatch
-):
-    """A fleet-wide env default must not break hosts missing numba."""
-    forest, _ = small_forest
-    if "numba" in available_backends():
-        pytest.skip("numba installed: the env request is honoured")
-    monkeypatch.setenv(BACKEND_ENV, "numba")
-    with pytest.warns(RuntimeWarning, match="falling back"):
-        kernel = ForestKernel.from_forest(forest)
-    assert kernel.backend == "numpy"
-
-
-@pytest.mark.skipif(
-    "numba" not in available_backends(), reason="numba not installed"
-)
-def test_numba_backend_matches_numpy_backend(small_forest):
-    forest, X = small_forest
-    numba_kernel = ForestKernel.from_forest(forest, backend="numba")
-    assert np.array_equal(
-        numba_kernel.predict_proba(X), forest.predict_proba_legacy(X)
-    )
 
 
 # ---------------------------------------------------------------------------

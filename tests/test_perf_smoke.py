@@ -96,6 +96,22 @@ def test_regression_factor_env_loosens_the_gate(tmp_path):
         assert "PERF REGRESSIONS" in strict.stderr
 
 
+def test_quick_gate_fails_on_vanished_metric(tmp_path):
+    """A recorded metric a measured section no longer emits fails the gate;
+    a metric of a section this run skipped is not compared."""
+    doctored = {
+        "micro": {"legacy_filter_views_s": 1e9, "retired_filter_s": 1.0},
+        "feature_matrix": {"retired_matrix_s": 1.0},
+    }
+    result, json_path = run_quick(tmp_path, doctored)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "PERF REGRESSIONS" in result.stderr
+    assert "micro.retired_filter_s" in result.stderr
+    assert "retired_matrix_s" not in result.stderr
+    assert "legacy_filter_views_s" not in result.stderr
+    assert "micro" in json.loads(json_path.read_text())
+
+
 def test_unknown_section_is_rejected(tmp_path):
     result, _ = run_quick(tmp_path, {}, sections="micro,warp_drive")
     assert result.returncode == 2

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import time
 
 import numpy as np
 import pytest
@@ -31,8 +32,8 @@ from repro.runtime import (
     ShardedEngine,
     ShmColumnRing,
     WorkerRestarted,
-    resolve_data_plane,
 )
+from repro.runtime.shard import shard_of
 from repro.runtime.shm import SHM_NAME_PREFIX
 
 
@@ -46,6 +47,22 @@ def shm_segments():
         }
     except FileNotFoundError:
         return set()
+
+
+def multi_row_sends(feed, n_shards):
+    """Per-shard tick sends carrying more than one row.
+
+    Each of them overflows a one-row ring slot, so a fork feed with
+    ``ring_slot_rows=1`` must pickle exactly this many ticks inline.
+    """
+    demux = FlowDemux()
+    count = 0
+    for batch in feed:
+        rows = [0] * n_shards
+        for key, indices in demux.split_indices(batch):
+            rows[shard_of(key, n_shards)] += indices.size
+        count += sum(n > 1 for n in rows)
+    return count
 
 
 def reports_by_client_port(events):
@@ -172,21 +189,6 @@ def test_ring_validation_and_explicit_destroy():
     assert shm_segments() <= before
 
 
-def test_resolve_data_plane(monkeypatch):
-    assert resolve_data_plane("shm") == "shm"
-    assert resolve_data_plane("pipe") == "pipe"
-    monkeypatch.delenv("REPRO_DATA_PLANE", raising=False)
-    assert resolve_data_plane("auto") == "shm"
-    monkeypatch.setenv("REPRO_DATA_PLANE", "pipe")
-    assert resolve_data_plane("auto") == "pipe"
-    assert resolve_data_plane("shm") == "shm"  # explicit beats environment
-    monkeypatch.setenv("REPRO_DATA_PLANE", "bogus")
-    with pytest.raises(ValueError):
-        resolve_data_plane("auto")
-    with pytest.raises(ValueError):
-        resolve_data_plane("zero-copy")
-
-
 # ---------------------------------------------------------------------------
 # feed-level: wraparound, fallback, lifecycle, replay
 # ---------------------------------------------------------------------------
@@ -223,26 +225,33 @@ def _assert_reports_equal(got, reference):
 def test_shm_feed_identical_and_pipe_volume_reduced(
     fitted_pipeline, runtime_sessions, shm_reference
 ):
-    """The shm plane pins serial output; only control messages hit the pipe."""
+    """Rings pin serial output; only control messages hit the pipe.
+
+    The comparison run uses a one-row ring: every tick overflows its slot
+    and takes the inline-pickle fallback, which is the whole-batch payload
+    the rings replace.
+    """
     before = shm_segments()
-    engine, events = _run_fork_feed(
-        fitted_pipeline, runtime_sessions, data_plane="shm"
-    )
+    engine, events = _run_fork_feed(fitted_pipeline, runtime_sessions)
     _assert_reports_equal(reports_by_client_port(events), shm_reference)
     stats = engine.last_feed_stats
-    assert stats["data_plane"] == "shm"
     assert stats["shm_fallback_ticks"] == 0
     assert stats["shm_ring_peak_bytes"] > 0
-    pipe_engine, pipe_events = _run_fork_feed(
-        fitted_pipeline, runtime_sessions, data_plane="pipe"
+    inline_engine, inline_events = _run_fork_feed(
+        fitted_pipeline, runtime_sessions, ring_slot_rows=1
     )
-    _assert_reports_equal(reports_by_client_port(pipe_events), shm_reference)
-    pipe_stats = pipe_engine.last_feed_stats
-    assert pipe_stats["data_plane"] == "pipe"
-    assert pipe_stats["shm_ring_peak_bytes"] == 0
+    _assert_reports_equal(reports_by_client_port(inline_events), shm_reference)
+    inline_stats = inline_engine.last_feed_stats
+    assert inline_stats["shm_fallback_ticks"] == multi_row_sends(
+        SessionFeed(runtime_sessions, batch_seconds=4.0), n_shards=2
+    )
+    assert inline_stats["shm_ring_peak_bytes"] == 0
     # the acceptance number: per-tick pickle volume collapses to control
     # messages once batch arrays travel through shared memory
-    assert stats["pipe_payload_bytes_total"] < pipe_stats["pipe_payload_bytes_total"] / 10
+    assert (
+        stats["pipe_payload_bytes_total"]
+        < inline_stats["pipe_payload_bytes_total"] / 10
+    )
     assert mp.active_children() == []
     assert shm_segments() <= before
 
@@ -254,7 +263,6 @@ def test_undersized_ring_wraps_to_inline_fallback(
     engine, events = _run_fork_feed(
         fitted_pipeline,
         runtime_sessions,
-        data_plane="shm",
         ring_slots=1,  # < snapshot_every_ticks: slots starve before a prune
         snapshot_every_ticks=8,
     )
@@ -271,7 +279,6 @@ def test_tick_larger_than_slot_falls_back_inline(
     engine, events = _run_fork_feed(
         fitted_pipeline,
         runtime_sessions,
-        data_plane="shm",
         ring_slot_rows=64,  # far below a 4-second batch of three sessions
     )
     stats = engine.last_feed_stats
@@ -284,7 +291,7 @@ def test_segments_cleaned_after_completed_feed(
     fitted_pipeline, runtime_sessions, shm_reference
 ):
     before = shm_segments()
-    _run_fork_feed(fitted_pipeline, runtime_sessions, data_plane="shm")
+    _run_fork_feed(fitted_pipeline, runtime_sessions)
     assert shm_segments() <= before
     assert mp.active_children() == []
 
@@ -292,15 +299,20 @@ def test_segments_cleaned_after_completed_feed(
 def test_segments_cleaned_after_abandoned_generator(
     fitted_pipeline, runtime_sessions
 ):
-    """An abandoned mid-feed generator leaves no worker and no segment."""
+    """An abandoned mid-feed generator leaves no worker and no segment.
+
+    Teardown is prompt: every worker sees EOF as soon as the parent closes
+    its pipe end, instead of waiting out the join timeout and being
+    terminated.
+    """
     before = shm_segments()
-    engine = ShardedEngine(
-        fitted_pipeline, n_workers=2, backend="fork", data_plane="shm"
-    )
+    engine = ShardedEngine(fitted_pipeline, n_workers=2, backend="fork")
     generator = engine.run_feed(SessionFeed(runtime_sessions, batch_seconds=4.0))
     next(generator)  # segments exist while the feed is live
     assert len(shm_segments() - before) == 2  # one ring per shard
+    started = time.perf_counter()
     generator.close()
+    assert time.perf_counter() - started < 2.0
     assert mp.active_children() == []
     assert shm_segments() <= before
     engine.close()  # idempotent after the generator already cleaned up
@@ -320,9 +332,7 @@ def test_segments_cleaned_after_midfeed_exception(
             yield batch
 
     before = shm_segments()
-    engine = ShardedEngine(
-        fitted_pipeline, n_workers=2, backend="fork", data_plane="shm"
-    )
+    engine = ShardedEngine(fitted_pipeline, n_workers=2, backend="fork")
     with pytest.raises(RuntimeError, match="capture card unplugged"):
         list(engine.run_feed(exploding_feed()))
     assert mp.active_children() == []
@@ -352,7 +362,6 @@ def test_restore_then_replay_reuses_slots_across_respawn(
         fitted_pipeline,
         n_workers=2,
         backend="fork",
-        data_plane="shm",
         snapshot_every_ticks=3,
         recv_timeout_s=60.0,
     )
@@ -364,7 +373,6 @@ def test_restore_then_replay_reuses_slots_across_respawn(
     restarts = [e for e in events if isinstance(e, WorkerRestarted)]
     assert len(restarts) == 2
     stats = engine.last_feed_stats
-    assert stats["data_plane"] == "shm"
     assert stats["n_restarts"] == 2
     assert stats["replayed_ticks_total"] > 0
     assert stats["shm_ring_peak_bytes"] > 0
