@@ -34,6 +34,7 @@ modes produce bit-identical reports and are indistinguishable by design).
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analytics.sketches import (
@@ -226,53 +227,6 @@ class FleetRollup:
             tuple(self.effective_levels[level] for level in _LEVELS),
         )
 
-    def snapshot(self) -> dict:
-        """Pickle-friendly state dict, inverted by :meth:`from_snapshot`."""
-        return {
-            "lag_ms": self.lag_ms.snapshot(),
-            "throughput_mbps": self.throughput_mbps.snapshot(),
-            "loss_rate": self.loss_rate.snapshot(),
-            "duration_s": self.duration_s.snapshot(),
-            "counters": (
-                self.n_windows,
-                self.n_frozen_windows,
-                self.n_partial_windows,
-                self.n_zero_windows,
-                self.candidate_gap_packets,
-                self.n_sessions,
-                self.n_packets,
-                self.n_shed,
-                self.n_reclassified,
-            ),
-            "objective_levels": dict(self.objective_levels),
-            "effective_levels": dict(self.effective_levels),
-        }
-
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "FleetRollup":
-        """Rebuild a rollup whose :meth:`state` equals the snapshotted one."""
-        rollup = cls.__new__(cls)
-        rollup.lag_ms = CentroidSketch.from_snapshot(snapshot["lag_ms"])
-        rollup.throughput_mbps = CentroidSketch.from_snapshot(
-            snapshot["throughput_mbps"]
-        )
-        rollup.loss_rate = LogBucketHistogram.from_snapshot(snapshot["loss_rate"])
-        rollup.duration_s = StatsAccumulator.from_snapshot(snapshot["duration_s"])
-        (
-            rollup.n_windows,
-            rollup.n_frozen_windows,
-            rollup.n_partial_windows,
-            rollup.n_zero_windows,
-            rollup.candidate_gap_packets,
-            rollup.n_sessions,
-            rollup.n_packets,
-            rollup.n_shed,
-            rollup.n_reclassified,
-        ) = snapshot["counters"]
-        rollup.objective_levels = dict(snapshot["objective_levels"])
-        rollup.effective_levels = dict(snapshot["effective_levels"])
-        return rollup
-
     def nbytes(self) -> int:
         """Retained bytes of this rollup (sketches + counters)."""
         return (
@@ -294,21 +248,6 @@ class _PendingFlow:
         self.rollup = FleetRollup()
         self.title: Optional[str] = None
         self.approximate: Optional[bool] = None
-
-    def snapshot(self) -> dict:
-        return {
-            "rollup": self.rollup.snapshot(),
-            "title": self.title,
-            "approximate": self.approximate,
-        }
-
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "_PendingFlow":
-        pending = cls.__new__(cls)
-        pending.rollup = FleetRollup.from_snapshot(snapshot["rollup"])
-        pending.title = snapshot["title"]
-        pending.approximate = snapshot["approximate"]
-        return pending
 
 
 class FleetAggregator:
@@ -405,11 +344,11 @@ class FleetAggregator:
     def merge(self, other: "FleetAggregator") -> None:
         """Fold another aggregator's state into this one (shard fan-in)."""
         for key, rollup in other._rollups.items():
-            self._fold_into(key, FleetRollup.from_snapshot(rollup.snapshot()))
+            self._fold_into(key, copy.deepcopy(rollup))
         for flow, pending in other._pending.items():
             mine = self._pending.get(flow)
             if mine is None:
-                self._pending[flow] = _PendingFlow.from_snapshot(pending.snapshot())
+                self._pending[flow] = copy.deepcopy(pending)
             else:
                 mine.rollup.merge(pending.rollup)
                 if pending.title is not None:
@@ -458,37 +397,6 @@ class FleetAggregator:
     def digest(self) -> str:
         """Hex digest of :meth:`state` — the bit-identity handle the tests pin."""
         return state_digest(self.state())
-
-    # ------------------------------------------------------------ snapshots
-    def snapshot(self) -> dict:
-        """Picklable full state (rides the shard checkpoint protocol)."""
-        return {
-            "default_region": self.default_region,
-            "rollups": {
-                key: self._rollups[key].snapshot() for key in sorted(self._rollups)
-            },
-            "pending": {
-                flow: pending.snapshot() for flow, pending in self._pending.items()
-            },
-            "n_intervals": self.n_intervals,
-            "n_reports": self.n_reports,
-        }
-
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "FleetAggregator":
-        """Rebuild an aggregator with a :meth:`digest` equal to the source's."""
-        aggregator = cls(default_region=snapshot["default_region"])
-        aggregator._rollups = {
-            key: FleetRollup.from_snapshot(payload)
-            for key, payload in snapshot["rollups"].items()
-        }
-        aggregator._pending = {
-            flow: _PendingFlow.from_snapshot(payload)
-            for flow, payload in snapshot["pending"].items()
-        }
-        aggregator.n_intervals = snapshot["n_intervals"]
-        aggregator.n_reports = snapshot["n_reports"]
-        return aggregator
 
 
 def fold_corpus(

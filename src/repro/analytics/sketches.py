@@ -99,10 +99,10 @@ def state_digest(state: tuple) -> str:
 class MergeableSketch:
     """API shared by every fleet-tier aggregate.
 
-    Subclasses implement :meth:`add_many`, :meth:`merge`, :meth:`state`,
-    :meth:`snapshot` / :meth:`restore` and :meth:`nbytes`; the base class
-    provides scalar :meth:`add`, equality (exact state comparison) and the
-    digest used by the bit-identity tests.
+    Subclasses implement :meth:`add_many`, :meth:`merge`, :meth:`state`
+    and :meth:`nbytes`; the base class provides scalar :meth:`add`,
+    equality (exact state comparison) and the digest used by the
+    bit-identity tests.
     """
 
     __slots__ = ()
@@ -132,25 +132,9 @@ class MergeableSketch:
         """
         raise NotImplementedError
 
-    def snapshot(self) -> dict:
-        """Picklable state dict (rides the engine checkpoint protocol)."""
-        raise NotImplementedError
-
-    def restore(self, snapshot: dict) -> None:
-        """Adopt a :meth:`snapshot`."""
-        raise NotImplementedError
-
     def nbytes(self) -> int:
         """Approximate retained bytes (O(1) in values folded)."""
         raise NotImplementedError
-
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "MergeableSketch":
-        sketch = cls.__new__(cls)
-        # restore() implementations only assign attributes, so a blank
-        # instance is a valid target
-        sketch.restore(snapshot)
-        return sketch
 
     def digest(self) -> str:
         return state_digest(self.state())
@@ -226,20 +210,6 @@ class StatsAccumulator(MergeableSketch):
 
     def state(self) -> tuple:
         return ("stats", self.count, self.scaled_sum, self._min, self._max)
-
-    def snapshot(self) -> dict:
-        return {
-            "count": self.count,
-            "scaled_sum": self.scaled_sum,
-            "min": self._min,
-            "max": self._max,
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        self.count = snapshot["count"]
-        self.scaled_sum = snapshot["scaled_sum"]
-        self._min = snapshot["min"]
-        self._max = snapshot["max"]
 
     def nbytes(self) -> int:
         return 64  # four scalars
@@ -360,18 +330,6 @@ class LogBucketHistogram(MergeableSketch):
     def state(self) -> tuple:
         return ("loghist", self._config, self.counts.tobytes(), self.stats.state())
 
-    def snapshot(self) -> dict:
-        return {
-            "config": self._config,
-            "counts": self.counts.copy(),
-            "stats": self.stats.snapshot(),
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        self.layout = _LogBinLayout(*snapshot["config"])
-        self.counts = snapshot["counts"].copy()
-        self.stats = StatsAccumulator.from_snapshot(snapshot["stats"])
-
     def nbytes(self) -> int:
         return int(self.counts.nbytes) + self.stats.nbytes()
 
@@ -467,20 +425,6 @@ class CentroidSketch(MergeableSketch):
             self.scaled_sums.tobytes(),
             self.stats.state(),
         )
-
-    def snapshot(self) -> dict:
-        return {
-            "config": self._config,
-            "counts": self.counts.copy(),
-            "scaled_sums": self.scaled_sums.copy(),
-            "stats": self.stats.snapshot(),
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        self.layout = _LogBinLayout(*snapshot["config"])
-        self.counts = snapshot["counts"].copy()
-        self.scaled_sums = snapshot["scaled_sums"].copy()
-        self.stats = StatsAccumulator.from_snapshot(snapshot["stats"])
 
     def nbytes(self) -> int:
         return (

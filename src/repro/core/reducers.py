@@ -157,20 +157,6 @@ class LaunchWindowReducer:
     def nbytes(self) -> int:
         return sum(chunk.nbytes() for chunk in self._chunks)
 
-    def snapshot(self) -> dict:
-        # absorbed chunks are append-only and their arrays never mutate in
-        # place, so a shallow list copy captures the buffer exactly
-        return {
-            "window_seconds": self.window_seconds,
-            "chunks": list(self._chunks),
-            "n_rows": self.n_rows,
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        self.window_seconds = snapshot["window_seconds"]
-        self._chunks = list(snapshot["chunks"])
-        self.n_rows = snapshot["n_rows"]
-
 
 # ---------------------------------------------------------------------------
 # slot counters + provisional EMA (stage classification)
@@ -339,23 +325,6 @@ class SlotStageReducer:
     def nbytes(self) -> int:
         return self._raw.nbytes
 
-    def snapshot(self) -> dict:
-        # the counter matrix accumulates in place — copy at snapshot time
-        return {
-            "slot_duration": self.slot_duration,
-            "raw": self._raw.copy(),
-            "max_slot": self._max_slot,
-            "cursor": self._cursor,
-            "tracker": self._tracker.snapshot(),
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        self.slot_duration = snapshot["slot_duration"]
-        self._raw = snapshot["raw"].copy()
-        self._max_slot = snapshot["max_slot"]
-        self._cursor = snapshot["cursor"]
-        self._tracker.restore(snapshot["tracker"])
-
 
 # ---------------------------------------------------------------------------
 # per-interval QoE stores (exact and approximate tiers)
@@ -495,25 +464,6 @@ class _IntervalStore:
                 if column is not None:
                     total += column.nbytes
         return total
-
-    def snapshot(self) -> dict:
-        # chunk arrays and consolidated columns are replaced, never mutated
-        # in place, so shallow references capture the store exactly
-        return {
-            "chunks": list(self.chunks),
-            "payload_bytes": self.payload_bytes,
-            "n_packets": self.n_packets,
-            "columns": (self._ts, self._seq, self._rts),
-        }
-
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "_IntervalStore":
-        store = cls()
-        store.chunks = list(snapshot["chunks"])
-        store.payload_bytes = snapshot["payload_bytes"]
-        store.n_packets = snapshot["n_packets"]
-        store._ts, store._seq, store._rts = snapshot["columns"]
-        return store
 
 
 class QoEIntervalReducer(_IntervalSealer):
@@ -678,23 +628,6 @@ class QoEIntervalReducer(_IntervalSealer):
     def nbytes(self) -> int:
         return sum(store.nbytes() for store in self._stores.values())
 
-    def snapshot(self) -> dict:
-        return {
-            "interval_seconds": self.interval_seconds,
-            "stores": {
-                key: store.snapshot() for key, store in self._stores.items()
-            },
-            "sealed_upto": self._sealed_upto,
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        self.interval_seconds = snapshot["interval_seconds"]
-        self._stores = {
-            key: _IntervalStore.from_snapshot(state)
-            for key, state in snapshot["stores"].items()
-        }
-        self._sealed_upto = snapshot["sealed_upto"]
-
 
 # ---------------------------------------------------------------------------
 # approximate QoE tier: O(intervals) state, no packet columns
@@ -743,21 +676,6 @@ class _ReservoirSampler:
 
     def nbytes(self) -> int:
         return self.samples.nbytes
-
-    def snapshot(self) -> dict:
-        # bit_generator.state round-trips the generator exactly, so the
-        # restored sampler keeps the retained set pinned across batches
-        return {
-            "samples": self.samples.copy(),
-            "seen": self.seen,
-            "rng_state": self._rng.bit_generator.state,
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        self.samples = snapshot["samples"].copy()
-        self.seen = snapshot["seen"]
-        self._rng = np.random.default_rng(0)
-        self._rng.bit_generator.state = snapshot["rng_state"]
 
 
 @dataclass(frozen=True)
@@ -836,37 +754,6 @@ class _ApproxIntervalStore:
 
     def nbytes(self) -> int:
         return self.reservoir.nbytes()
-
-    def snapshot(self) -> dict:
-        return {
-            "n_packets": self.n_packets,
-            "payload_bytes": self.payload_bytes,
-            "n_rtp": self.n_rtp,
-            "n_new_frames": self.n_new_frames,
-            "gap_count": self.gap_count,
-            "gap_sum": self.gap_sum,
-            "gap_max": self.gap_max,
-            "burst_gap_count": self.burst_gap_count,
-            "reservoir": self.reservoir.snapshot(),
-            "seq_received": self.seq_received,
-            "candidate_gap_packets": self.candidate_gap_packets,
-        }
-
-    @classmethod
-    def from_snapshot(cls, index: int, capacity: int, snapshot: dict):
-        store = cls(index, capacity)
-        store.n_packets = snapshot["n_packets"]
-        store.payload_bytes = snapshot["payload_bytes"]
-        store.n_rtp = snapshot["n_rtp"]
-        store.n_new_frames = snapshot["n_new_frames"]
-        store.gap_count = snapshot["gap_count"]
-        store.gap_sum = snapshot["gap_sum"]
-        store.gap_max = snapshot["gap_max"]
-        store.burst_gap_count = snapshot["burst_gap_count"]
-        store.reservoir.restore(snapshot["reservoir"])
-        store.seq_received = snapshot["seq_received"]
-        store.candidate_gap_packets = snapshot.get("candidate_gap_packets", 0)
-        return store
 
 
 class ApproxQoEIntervalReducer(_IntervalSealer):
@@ -1196,57 +1083,6 @@ class ApproxQoEIntervalReducer(_IntervalSealer):
         if self._seen is not None:
             total += self._seen.nbytes + self._skipped.nbytes
         return total + sum(store.nbytes() for store in self._stores.values())
-
-    def snapshot(self) -> dict:
-        return {
-            "interval_seconds": self.interval_seconds,
-            "stores": {
-                key: store.snapshot() for key, store in self._stores.items()
-            },
-            "sealed_upto": self._sealed_upto,
-            "last_down_ts": self._last_down_ts,
-            "frame_max_rts": self._frame_max_rts,
-            "n_frames": self._n_frames,
-            "n_rtp": self._n_rtp,
-            "n_down": self._n_down,
-            "gap_count": self._gap_count,
-            "gap_sum": self._gap_sum,
-            "gap_max": self._gap_max,
-            "burst_gap_count": self._burst_gap_count,
-            "gap_reservoir": self._gap_reservoir.snapshot(),
-            "seq_received": self._seq_received,
-            "seq_last_raw": self._seq_last_raw,
-            # the counting sets accumulate in place — copy at snapshot time
-            "seen": None if self._seen is None else self._seen.copy(),
-            "skipped": None if self._skipped is None else self._skipped.copy(),
-            "lost_reported": self._lost_reported,
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        self.interval_seconds = snapshot["interval_seconds"]
-        self._stores = {
-            key: _ApproxIntervalStore.from_snapshot(
-                key, self.interval_reservoir, state
-            )
-            for key, state in snapshot["stores"].items()
-        }
-        self._sealed_upto = snapshot["sealed_upto"]
-        self._last_down_ts = snapshot["last_down_ts"]
-        self._frame_max_rts = snapshot["frame_max_rts"]
-        self._n_frames = snapshot["n_frames"]
-        self._n_rtp = snapshot["n_rtp"]
-        self._n_down = snapshot["n_down"]
-        self._gap_count = snapshot["gap_count"]
-        self._gap_sum = snapshot["gap_sum"]
-        self._gap_max = snapshot["gap_max"]
-        self._burst_gap_count = snapshot["burst_gap_count"]
-        self._gap_reservoir.restore(snapshot["gap_reservoir"])
-        self._seq_received = snapshot["seq_received"]
-        self._seq_last_raw = snapshot["seq_last_raw"]
-        seen, skipped = snapshot["seen"], snapshot["skipped"]
-        self._seen = None if seen is None else seen.copy()
-        self._skipped = None if skipped is None else skipped.copy()
-        self._lost_reported = snapshot["lost_reported"]
 
 
 # ---------------------------------------------------------------------------
@@ -1588,64 +1424,3 @@ class SessionReducerCascade:
         if self._history is not None:
             total += sum(batch.nbytes() for batch in self._history)
         return total
-
-    # ------------------------------------------------------------ snapshots
-    def snapshot(self) -> dict:
-        """Complete fold state as a plain python/numpy dict.
-
-        A cascade rebuilt with :meth:`from_snapshot` and fed the same
-        subsequent batches produces bit-identical provisional events and
-        close reports — the basis of the sharded runtime's checkpoint/replay
-        recovery (DESIGN.md §8).  The dict is picklable (flow history and
-        launch chunks are :class:`PacketColumns`; everything else is
-        scalars, numpy arrays and nested dicts).
-        """
-        return {
-            "config": {
-                "slot_duration": self.slots.slot_duration,
-                "alpha": self._alpha,
-                "window_seconds": self._window_seconds,
-                "qoe_interval_seconds": self._qoe_interval_seconds,
-                "keep_history": self._history is not None,
-                "qoe_mode": self.qoe_mode,
-            },
-            "origin": self.origin,
-            "last_ts": self.last_ts,
-            "n_packets": self.n_packets,
-            "down_bytes": self.down_bytes,
-            "up_bytes": self.up_bytes,
-            "has_downstream": self.has_downstream,
-            "has_rtp": self.has_rtp,
-            "origin_shifts": self.origin_shifts,
-            "launch": self.launch.snapshot(),
-            "slots": self.slots.snapshot(),
-            "qoe": self.qoe.snapshot(),
-            "history": None if self._history is None else list(self._history),
-        }
-
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "SessionReducerCascade":
-        """Rebuild a cascade from a :meth:`snapshot` dict."""
-        config = snapshot["config"]
-        cascade = cls(
-            slot_duration=config["slot_duration"],
-            alpha=config["alpha"],
-            window_seconds=config["window_seconds"],
-            qoe_interval_seconds=config["qoe_interval_seconds"],
-            keep_history=config["keep_history"],
-            qoe_mode=config["qoe_mode"],
-        )
-        cascade.origin = snapshot["origin"]
-        cascade.last_ts = snapshot["last_ts"]
-        cascade.n_packets = snapshot["n_packets"]
-        cascade.down_bytes = snapshot["down_bytes"]
-        cascade.up_bytes = snapshot["up_bytes"]
-        cascade.has_downstream = snapshot["has_downstream"]
-        cascade.has_rtp = snapshot["has_rtp"]
-        cascade.origin_shifts = snapshot["origin_shifts"]
-        cascade.launch.restore(snapshot["launch"])
-        cascade.slots.restore(snapshot["slots"])
-        cascade.qoe.restore(snapshot["qoe"])
-        history = snapshot["history"]
-        cascade._history = None if history is None else list(history)
-        return cascade

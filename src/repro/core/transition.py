@@ -231,20 +231,6 @@ class PrefixTransitionTracker:
         self._gameplay_seen = int(gameplay[-1])
         return features, gameplay
 
-    def snapshot(self) -> dict:
-        """Copy of the carried counts as a plain dict."""
-        return {
-            "counts": self._counts.copy(),
-            "prev": self._prev,
-            "gameplay_seen": self._gameplay_seen,
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        """Adopt a :meth:`snapshot`; subsequent extends continue bit-identically."""
-        self._counts = snapshot["counts"].copy()
-        self._prev = snapshot["prev"]
-        self._gameplay_seen = snapshot["gameplay_seen"]
-
 
 def stage_occupancy(stages: Sequence[PlayerStage]) -> Dict[PlayerStage, float]:
     """Fraction of gameplay slots per stage in a stage sequence."""

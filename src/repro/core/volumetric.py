@@ -261,20 +261,3 @@ class OnlineVolumetricTracker:
         """Clear peaks and EMA state (e.g. at the start of a new session)."""
         self._peaks = np.full(4, self.peak_floor)
         self._ema = None
-
-    def snapshot(self) -> dict:
-        """Copy of the carried state (peaks + EMA) as a plain dict."""
-        return {
-            "alpha": self.alpha,
-            "peak_floor": self.peak_floor,
-            "peaks": self._peaks.copy(),
-            "ema": None if self._ema is None else self._ema.copy(),
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        """Adopt a :meth:`snapshot`; subsequent updates continue bit-identically."""
-        self.alpha = snapshot["alpha"]
-        self.peak_floor = snapshot["peak_floor"]
-        self._peaks = snapshot["peaks"].copy()
-        ema = snapshot["ema"]
-        self._ema = None if ema is None else ema.copy()

@@ -12,12 +12,14 @@ and both directions of a conversation canonicalise to the same
 
 Row order within a flow is preserved (sub-batches keep the original batch
 positions), which is what lets the per-session accumulators reproduce the
-offline stream exactly after one stable time sort.
+offline stream exactly after one stable time sort.  Rows no session could
+fold (a non-finite timestamp, a negative payload size, an unknown direction
+code) are rejected at this boundary and counted per reason.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +34,9 @@ from repro.net.packet import (
 __all__ = ["FlowDemux", "canonical_flow_key", "flow_addresses"]
 
 _ID_OF = np.frompyfunc(id, 1, 1)
+
+#: Why :class:`FlowDemux` rejects a row, in the order the checks apply.
+REJECT_REASONS = ("non_finite_time", "negative_size", "bad_direction")
 
 
 def flow_addresses(key: FlowKey) -> Tuple[tuple, tuple]:
@@ -78,10 +83,21 @@ def canonical_flow_key(address: tuple, direction_code: int) -> FlowKey:
 
 
 class FlowDemux:
-    """Stateful batch demultiplexer (the canonical-key cache persists)."""
+    """Stateful batch demultiplexer (the canonical-key cache persists).
+
+    Malformed rows never reach a flow: a row whose timestamp is not finite
+    (``non_finite_time``), whose payload size is negative or not finite
+    (``negative_size``) or whose direction code is neither upstream nor
+    downstream (``bad_direction``) is rejected and counted under the first
+    of those reasons it meets, in :attr:`rejected_rows`.  The feed clock
+    must come from admitted rows only: :attr:`newest_admitted` holds the
+    newest admitted timestamp of the last split batch.
+    """
 
     def __init__(self) -> None:
         self._canonical: Dict[Tuple[tuple, int], FlowKey] = {}
+        self.rejected_rows = dict.fromkeys(REJECT_REASONS, 0)
+        self.newest_admitted = float("-inf")
 
     def _key_for(self, address: tuple, direction_code: int) -> FlowKey:
         cached = self._canonical.get((address, direction_code))
@@ -90,13 +106,46 @@ class FlowDemux:
             self._canonical[(address, direction_code)] = cached
         return cached
 
+    def _admit(self, columns: PacketColumns) -> Optional[np.ndarray]:
+        """Admitted row indices (``None``: every row), counting rejects."""
+        timestamps = columns.timestamps
+        sizes = columns.payload_sizes
+        directions = columns.directions
+        newest = float(timestamps.max())
+        # the common, clean batch costs six reductions: NaN propagates
+        # through min/max, and the two direction codes (0, 1) are adjacent
+        if (
+            np.isfinite(newest)
+            and np.isfinite(timestamps.min())
+            and sizes.min() >= 0
+            and np.isfinite(sizes.max())
+            and directions.min() >= DOWNSTREAM_CODE
+            and directions.max() <= UPSTREAM_CODE
+        ):
+            self.newest_admitted = newest
+            return None
+        time_ok = np.isfinite(timestamps)
+        size_ok = np.isfinite(sizes) & (sizes >= 0)
+        direction_ok = (directions == DOWNSTREAM_CODE) | (directions == UPSTREAM_CODE)
+        admitted = time_ok & size_ok & direction_ok
+        for reason, bad in zip(
+            REJECT_REASONS,
+            (~time_ok, time_ok & ~size_ok, time_ok & size_ok & ~direction_ok),
+        ):
+            self.rejected_rows[reason] += int(np.count_nonzero(bad))
+        rows = np.flatnonzero(admitted)
+        self.newest_admitted = (
+            float(timestamps[rows].max()) if rows.size else float("-inf")
+        )
+        return rows
+
     def split(self, columns: PacketColumns) -> List[Tuple[FlowKey, PacketColumns]]:
         """Partition one batch into per-flow sub-batches.
 
-        Returns ``(key, sub_batch)`` pairs; every row of ``columns`` lands in
-        exactly one sub-batch, and rows of the same flow keep their relative
-        batch order.  Flows first seen in this batch appear in first-packet
-        order.
+        Returns ``(key, sub_batch)`` pairs; every admitted row of
+        ``columns`` lands in exactly one sub-batch, and rows of the same
+        flow keep their relative batch order.  Flows first seen in this
+        batch appear in first-packet order.
         """
         return [
             (key, columns.take(rows)) for key, rows in self.split_indices(columns)
@@ -107,20 +156,26 @@ class FlowDemux:
     ) -> List[Tuple[FlowKey, np.ndarray]]:
         """Per-flow sorted row indices, without materialising sub-batches.
 
-        Same contract as :meth:`split` — every row lands in exactly one
-        group, row order within a flow is the batch order, flows first seen
-        in this batch appear in first-packet order — but each flow is
+        Same contract as :meth:`split` — every admitted row lands in exactly
+        one group, row order within a flow is the batch order, flows first
+        seen in this batch appear in first-packet order — but each flow is
         returned as ``(key, row_indices)`` instead of a copied sub-batch.
         ``columns.take(rows)`` of each pair reproduces :meth:`split`
         exactly; the sharded data plane instead gathers the rows of every
         flow straight into a shared-memory ring slot (DESIGN.md §12).
         """
-        n = len(columns)
-        if n == 0:
+        if not len(columns):
+            self.newest_admitted = float("-inf")
             return []
+        admitted = self._admit(columns)
         directions = columns.directions
-        groups: Dict[FlowKey, List[np.ndarray]] = {}
         addresses = columns.addresses
+        if admitted is not None:
+            if not admitted.size:
+                return []
+            directions = directions[admitted]
+            addresses = addresses[admitted] if addresses is not None else None
+        groups: Dict[FlowKey, List[np.ndarray]] = {}
         if addresses is None:
             for code in (DOWNSTREAM_CODE, UPSTREAM_CODE):
                 rows = np.flatnonzero(directions == code)
@@ -149,5 +204,6 @@ class FlowDemux:
         out: List[Tuple[FlowKey, np.ndarray]] = []
         for key, parts in groups.items():
             rows = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
-            out.append((key, rows))
+            # admitted indices are sorted, so the mapping keeps batch order
+            out.append((key, rows if admitted is None else admitted[rows]))
         return out

@@ -42,6 +42,7 @@ partitions flows across workers for multi-core deployments.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, replace as dataclasses_replace
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
@@ -251,8 +252,8 @@ class StreamingEngine:
         (:class:`~repro.analytics.fleet.FleetAggregator`): ``True`` creates
         a default one, or pass a pre-configured instance.  The aggregator
         observes every emitted event (with the flow's registered context)
-        and its state rides :meth:`snapshot` / :meth:`restore`, so sharded
-        checkpoint/replay recovery keeps rollups exactly-once.
+        and rides :meth:`snapshot` / :meth:`restore` as an object, so
+        sharded checkpoint/replay recovery keeps rollups exactly-once.
     """
 
     def __init__(
@@ -324,67 +325,61 @@ class StreamingEngine:
         if state is not None:
             state.context = context
 
+    @property
+    def rejected_rows(self) -> Dict[str, int]:
+        """Rows :meth:`ingest` rejected, per reason (see :class:`FlowDemux`)."""
+        return dict(self._demux.rejected_rows)
+
     def state_nbytes(self) -> Dict[FlowKey, int]:
         """Approximate live per-session state bytes (for capacity planning)."""
         return {key: state.state_nbytes() for key, state in self._states.items()}
 
     # ------------------------------------------------------------ snapshots
-    def snapshot(self) -> dict:
-        """The engine's complete mutable state as a picklable dict.
+    #: The mutable state a snapshot carries, besides the demux's rejected-row
+    #: counts; the rest is configuration or the demux's pure key cache.
+    _STATE_FIELDS = (
+        "_clock",
+        "_states",
+        "_contexts",
+        "_shed",
+        "n_shed",
+        "shed_packets",
+        "n_degraded_opens",
+        "_tick_count",
+        "_soft_active",
+        "analytics",
+    )
 
-        Captures the feed clock, every live session's fold state, the
-        registered flow contexts and the overload bookkeeping — everything
-        that is not configuration.  An engine constructed with the same
-        parameters (same fitted pipeline, timeouts, modes, policy), restored
-        from the snapshot and fed the same subsequent batches emits
+    def snapshot(self) -> bytes:
+        """The engine's complete mutable state, pickled.
+
+        One pickle of the live state objects: the feed clock, every live
+        session, the registered flow contexts, the overload bookkeeping, the
+        attached fleet aggregator and the demux's rejected-row counts.  The
+        pipeline (configuration) and the demux's canonical-key cache are
+        left out.  An engine constructed with the same parameters, restored
+        from the bytes and fed the same subsequent batches emits
         bit-identical events and close reports; the sharded supervisor's
         checkpoint/replay recovery is built on exactly this property
         (DESIGN.md §8).
         """
-        return {
-            "clock": self._clock,
-            "states": [state.snapshot() for state in self._states.values()],
-            "contexts": dict(self._contexts),
-            "shed": set(self._shed),
-            "n_shed": self.n_shed,
-            "shed_packets": self.shed_packets,
-            "n_degraded_opens": self.n_degraded_opens,
-            "tick_count": self._tick_count,
-            "soft_active": self._soft_active,
-            "analytics": (
-                None if self.analytics is None else self.analytics.snapshot()
-            ),
-        }
+        state = {name: getattr(self, name) for name in self._STATE_FIELDS}
+        state["rejected_rows"] = self._demux.rejected_rows
+        return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
 
-    def restore(self, snapshot: dict) -> None:
+    def restore(self, blob: bytes) -> None:
         """Adopt a :meth:`snapshot` (configuration is not part of it).
 
         Session insertion order is preserved, so per-tick iteration over the
         restored sessions — and therefore event ordering — matches the
-        engine the snapshot was taken from.  The demux canonical-key cache
-        is a pure cache and restarts empty.
+        engine the snapshot was taken from; the attached aggregator is the
+        snapshot's.  Pass only bytes an engine's :meth:`snapshot` wrote:
+        unpickling runs code.
         """
-        states = [SessionState.from_snapshot(item) for item in snapshot["states"]]
-        self._states = {state.key: state for state in states}
-        self._contexts = dict(snapshot["contexts"])
-        self._clock = snapshot["clock"]
-        self._shed = set(snapshot["shed"])
-        self.n_shed = snapshot["n_shed"]
-        self.shed_packets = snapshot["shed_packets"]
-        self.n_degraded_opens = snapshot["n_degraded_opens"]
-        self._tick_count = snapshot["tick_count"]
-        self._soft_active = snapshot["soft_active"]
-        self._demux = FlowDemux()
-        if self.analytics is not None:
-            from repro.analytics.fleet import FleetAggregator
-
-            payload = snapshot.get("analytics")
-            # an engine configured with analytics adopts the snapshot's
-            # aggregator (or restarts it empty for pre-analytics snapshots)
-            self.analytics = (
-                FleetAggregator() if payload is None
-                else FleetAggregator.from_snapshot(payload)
-            )
+        state = pickle.loads(blob)
+        self._demux.rejected_rows = state.pop("rejected_rows")
+        for name, value in state.items():
+            setattr(self, name, value)
 
     # ------------------------------------------------------------- hot swap
     def swap_pipeline(
@@ -443,12 +438,12 @@ class StreamingEngine:
         are invariant under how the same packets are batched (the
         offline-identity contract pinned by ``tests/test_runtime.py``).
         Returns the tick's events in deterministic order; advances the
-        engine clock to the batch's newest timestamp.
+        engine clock to the newest timestamp of the batch's admitted rows
+        (malformed rows are rejected by the demux and counted in
+        :attr:`rejected_rows`).
         """
-        clock = self._clock
-        if len(columns):
-            clock = max(clock, float(columns.timestamps.max()))
-        return self.ingest_demuxed(self._demux.split(columns), clock)
+        pairs = self._demux.split(columns)
+        return self.ingest_demuxed(pairs, self._demux.newest_admitted)
 
     def ingest_demuxed(
         self,
@@ -688,7 +683,6 @@ class StreamingEngine:
             cursor += rows.shape[0]
             best = np.argmax(block, axis=1)
             confidences = block[np.arange(block.shape[0]), best]
-            state.last_pattern_confidence = float(confidences[-1])
             confident = confidences >= self.pattern_threshold
             if not confident.any():
                 continue
@@ -817,6 +811,7 @@ class StreamingEngine:
                     reason=reason,
                     n_packets=state.n_packets,
                     duration_s=state.duration,
+                    origin_shifts=state.cascade.origin_shifts,
                 )
             )
         self._observe(events)

@@ -153,13 +153,18 @@ class SessionReport(ContextEvent):
     """The flow closed; ``report`` is bit-identical to offline ``process()``.
 
     ``reason`` is ``"eof"`` (feed ended / explicit close) or ``"idle"``
-    (no packets for the engine's idle timeout).
+    (no packets for the engine's idle timeout).  ``origin_shifts`` counts
+    the batches that carried rows older than the session origin: bounded
+    and approx sessions clip such rows into slot/interval 0, so a non-zero
+    count flags a report that may differ from offline ``process()`` (full
+    mode refolds from its history and stays exact).
     """
 
     report: SessionContextReport
     reason: str
     n_packets: int
     duration_s: float
+    origin_shifts: int = 0
 
 
 @dataclass(frozen=True)

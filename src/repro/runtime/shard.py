@@ -190,8 +190,9 @@ class ShardedEngine:
         self.analytics = None
         self._supervisor: Optional[ShardSupervisor] = None
         self._pending_swap: Optional[ContextClassificationPipeline] = None
-        #: supervision counters of the most recent fork-backend feed
-        #: (restarts, replayed ticks, recovery latencies, ring peak bytes)
+        #: counters of the most recent feed: the demux's ``rejected_rows``
+        #: on both backends, plus (fork backend) the supervision counters —
+        #: restarts, replayed ticks, recovery latencies, ring peak bytes
         self.last_feed_stats: Optional[dict] = None
 
     def _engine_kwargs(self) -> dict:
@@ -348,8 +349,7 @@ class ShardedEngine:
         ]
         for key, rows in index_pairs:
             shards[shard_of(key, self.n_workers)].append((key, rows))
-        clock = float(batch.timestamps.max()) if len(batch) else float("-inf")
-        return shards, clock
+        return shards, demux.newest_admitted
 
     def _partition(
         self, demux: FlowDemux, batch: PacketColumns
@@ -390,6 +390,7 @@ class ShardedEngine:
             # requested after the last batch: cut over before the close
             # reports so the new model classifies the final cascades
             yield from apply_pending_swap()
+        self.last_feed_stats = {"rejected_rows": dict(demux.rejected_rows)}
         if close_at_end:
             for engine in engines:
                 yield from engine.close_all()
@@ -416,8 +417,8 @@ class ShardedEngine:
         )
         self._supervisor = supervisor
         supervisor.start()
+        demux = FlowDemux()
         try:
-            demux = FlowDemux()
             # double-buffered protocol: tick N+1 is partitioned while the
             # workers still chew tick N, hiding the parent's demux latency.
             # Per worker the parent drains tick N's results immediately
@@ -456,7 +457,10 @@ class ShardedEngine:
             if self.analytics_enabled:
                 self.analytics = supervisor.merged_analytics()
         finally:
-            self.last_feed_stats = supervisor.stats()
+            self.last_feed_stats = {
+                **supervisor.stats(),
+                "rejected_rows": dict(demux.rejected_rows),
+            }
             supervisor.stop()
             if self._supervisor is supervisor:
                 self._supervisor = None

@@ -84,7 +84,6 @@ class SessionState:
         "title_fired",
         "title_prediction",
         "pattern_resolved",
-        "last_pattern_confidence",
         "_window_rows_pending",
     )
 
@@ -116,7 +115,6 @@ class SessionState:
         self.title_fired = False
         self.title_prediction: Optional[TitlePrediction] = None
         self.pattern_resolved = False
-        self.last_pattern_confidence = 0.0
         self._window_rows_pending = 0
 
     # ------------------------------------------------------------ ingestion
@@ -136,10 +134,6 @@ class SessionState:
 
     # ------------------------------------------------------------ aggregates
     @property
-    def slot_duration(self) -> float:
-        return self.cascade.slots.slot_duration
-
-    @property
     def origin(self) -> Optional[float]:
         return self.cascade.origin
 
@@ -155,10 +149,6 @@ class SessionState:
     def duration(self) -> float:
         """Seconds between the first and last packet observed."""
         return self.cascade.duration
-
-    @property
-    def has_downstream(self) -> bool:
-        return self.cascade.has_downstream
 
     def total_slots(self) -> int:
         """Slot count of the session so far (the offline ``n_slots``)."""
@@ -211,45 +201,3 @@ class SessionState:
     def state_nbytes(self) -> int:
         """Approximate bytes of this session's live state (arrays only)."""
         return self.cascade.state_nbytes()
-
-    # ------------------------------------------------------------ snapshots
-    def snapshot(self) -> dict:
-        """Complete session state as a plain python/numpy dict.
-
-        A state rebuilt with :meth:`from_snapshot` and fed the same
-        subsequent batches/clock ticks produces bit-identical events and the
-        same close report — the unit of the sharded runtime's
-        checkpoint/replay recovery.  Everything inside is picklable (frozen
-        dataclasses, enums, numpy arrays, nested dicts).
-        """
-        return {
-            "key": self.key,
-            "context": self.context,
-            "mode": self.mode,
-            "cascade": self.cascade.snapshot(),
-            "timeline": list(self.timeline),
-            "transitions": self.transitions.snapshot(),
-            "title_fired": self.title_fired,
-            "title_prediction": self.title_prediction,
-            "pattern_resolved": self.pattern_resolved,
-            "last_pattern_confidence": self.last_pattern_confidence,
-            "window_rows_pending": self._window_rows_pending,
-        }
-
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "SessionState":
-        """Rebuild a session state from a :meth:`snapshot` dict."""
-        state = cls.__new__(cls)
-        state.key = snapshot["key"]
-        state.context = snapshot["context"]
-        state.mode = snapshot["mode"]
-        state.cascade = SessionReducerCascade.from_snapshot(snapshot["cascade"])
-        state.timeline = list(snapshot["timeline"])
-        state.transitions = PrefixTransitionTracker()
-        state.transitions.restore(snapshot["transitions"])
-        state.title_fired = snapshot["title_fired"]
-        state.title_prediction = snapshot["title_prediction"]
-        state.pattern_resolved = snapshot["pattern_resolved"]
-        state.last_pattern_confidence = snapshot["last_pattern_confidence"]
-        state._window_rows_pending = snapshot["window_rows_pending"]
-        return state

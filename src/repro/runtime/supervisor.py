@@ -8,16 +8,17 @@ backend survive worker death without losing a flow (DESIGN.md §8):
   (``Connection.poll`` + ``Process.is_alive``), so a dead worker raises
   immediately (broken pipe / EOF) and a hung one (e.g. SIGSTOP'd) surfaces
   after ``recv_timeout_s`` instead of deadlocking the parent;
-* **checkpoints** — workers piggyback a zlib-compressed pickle of their
-  engine snapshot (:meth:`StreamingEngine.snapshot`) on every
-  ``snapshot_every_ticks``-th tick reply; the parent keeps only the latest
-  blob per shard and never unpickles it;
+* **checkpoints** — workers piggyback their zlib-compressed engine
+  snapshot (:meth:`StreamingEngine.snapshot`: a pickle of the live state
+  objects) on every ``snapshot_every_ticks``-th tick reply; the parent
+  keeps only the latest blob per shard and never unpickles it;
 * **replay ring** — the parent retains each tick it sent since the last
   checkpoint (a bounded deque: at most ``snapshot_every_ticks`` + in-flight
   entries).  Recovery = respawn the worker, send it the checkpoint, resend
   the ring in sequence order.  Because engine folds are deterministic and
-  snapshots are exact, the respawned worker reconstructs *bit-identical*
-  state — close reports equal an uninterrupted run's;
+  a snapshot pickles the whole live state, the respawned worker
+  reconstructs *bit-identical* state — close reports equal an
+  uninterrupted run's;
 * **exactly-once events** — messages carry sequence numbers; workers dedupe
   (``seq <= last_seq`` replies empty) and reorder (a stash holds early
   ticks until the gap fills), and the parent discards replayed replies at
@@ -60,11 +61,11 @@ message (engine snapshots capture session state, never the model), and
 the per-shard :class:`~repro.runtime.events.ModelSwapped` events flow
 through the same watermark dedupe — exactly-once, crash or no crash.
 
-The close reply's third element is the worker engine's fleet-analytics
-snapshot (zlib-pickled, ``None`` when the engine has no aggregator
-attached); the parent holds the blobs and
-:meth:`ShardSupervisor.merged_analytics` merges them in shard order.
-Because the aggregator state rides the engine checkpoint, a recovered
+The close reply's third element is the worker engine's
+:class:`~repro.analytics.fleet.FleetAggregator` itself (zlib-pickled,
+``None`` when the engine has no aggregator attached); the parent holds the
+blobs and :meth:`ShardSupervisor.merged_analytics` merges them in shard
+order.  Because the aggregator rides the engine checkpoint, a recovered
 worker's close-time analytics are bit-identical to an uninterrupted
 run's — the fleet rollups inherit the exactly-once guarantee.
 
@@ -108,11 +109,12 @@ __all__ = ["ShardSupervisor"]
 _FORK_STATE: dict = {}
 
 
-def _encode_snapshot(snapshot: dict) -> bytes:
-    return zlib.compress(pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL), 1)
+def _pack(obj) -> bytes:
+    """zlib-compressed pickle of a pipeline or an aggregator."""
+    return zlib.compress(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL), 1)
 
 
-def _decode_snapshot(payload: bytes) -> dict:
+def _unpack(payload: bytes):
     return pickle.loads(zlib.decompress(payload))
 
 
@@ -156,7 +158,7 @@ def _supervised_worker(connection) -> None:
             return list(engine.ingest_demuxed(pairs, clock)), want_snapshot
         # ("swap", seq, pipeline_blob, want_snapshot)
         _tag, _seq, blob, want_snapshot = message
-        swapped = engine.swap_pipeline(_decode_snapshot(blob))
+        swapped = engine.swap_pipeline(_unpack(blob))
         return [dataclasses_replace(swapped, shard=config["shard_index"])], want_snapshot
 
     while True:
@@ -185,7 +187,7 @@ def _supervised_worker(connection) -> None:
                 events.extend(late_events)
                 last_seq += 1
                 want_snapshot = want_snapshot or late_want
-            payload = _encode_snapshot(engine.snapshot()) if want_snapshot else None
+            payload = zlib.compress(engine.snapshot(), 1) if want_snapshot else None
             connection.send(("events", last_seq, events, payload))
         elif kind == "restore":
             _tag, payload, snapshot_seq, swap_blob = message
@@ -194,18 +196,16 @@ def _supervised_worker(connection) -> None:
                 # the model current at the checkpoint: snapshots capture
                 # session state, never the pipeline, so the swap replays
                 # first (its event was already delivered — discard it)
-                engine.swap_pipeline(_decode_snapshot(swap_blob))
+                engine.swap_pipeline(_unpack(swap_blob))
             if payload is not None:
-                engine.restore(_decode_snapshot(payload))
+                engine.restore(zlib.decompress(payload))
             last_seq = snapshot_seq
             stash.clear()
             connection.send(("restored", list(engine.live_flows)))
         elif kind == "close":
             events = engine.close_all()
             analytics = (
-                _encode_snapshot(engine.analytics.snapshot())
-                if engine.analytics is not None
-                else None
+                _pack(engine.analytics) if engine.analytics is not None else None
             )
             connection.send(("closed", events, analytics))
             connection.close()
@@ -317,7 +317,7 @@ class ShardSupervisor:
         # (seq, zlib-pickled pipeline) of every swap_all, in sequence order;
         # recovery reads the latest entry at or below a shard's checkpoint
         self._swap_history: List[Tuple[int, bytes]] = []
-        # shard -> zlib-pickled FleetAggregator snapshot from the close reply
+        # shard -> zlib-pickled FleetAggregator from the close reply
         self._analytics_payloads: Dict[int, bytes] = {}
         # ---- stats (read by ShardedEngine.last_feed_stats and the bench)
         self.n_restarts = 0
@@ -567,7 +567,7 @@ class ShardSupervisor:
         :meth:`begin_tick` and its :meth:`send_tick_indexed`\\ s.
         """
         _check_swap_geometry(self.pipeline, pipeline)
-        blob = _encode_snapshot(pipeline)
+        blob = _pack(pipeline)
         seq = self.begin_tick(self._clock)
         self._swap_history.append((seq, blob))
         events: List[ContextEvent] = []
@@ -757,11 +757,7 @@ class ShardSupervisor:
 
         merged = FleetAggregator()
         for shard in sorted(self._analytics_payloads):
-            merged.merge(
-                FleetAggregator.from_snapshot(
-                    _decode_snapshot(self._analytics_payloads[shard])
-                )
-            )
+            merged.merge(_unpack(self._analytics_payloads[shard]))
         return merged
 
     # ------------------------------------------------------------ stats

@@ -13,8 +13,8 @@ and run everywhere.
 from __future__ import annotations
 
 import multiprocessing as mp
+import dataclasses
 import os
-import pickle
 from collections import Counter
 
 import numpy as np
@@ -70,6 +70,18 @@ def assert_report_identical(got, expected):
     assert got.effective_qoe is expected.effective_qoe
 
 
+def assert_events_identical(got_events, expected_events):
+    """Event streams equal one for one, close reports field for field."""
+    assert len(got_events) == len(expected_events)
+    for got, expected in zip(got_events, expected_events):
+        assert type(got) is type(expected)
+        assert got.flow == expected.flow
+        if isinstance(got, SessionReport):
+            assert_report_identical(got.report, expected.report)
+        else:
+            assert got == expected
+
+
 def reports_by_client_port(events):
     return {
         event.flow.client_port: event.report
@@ -113,23 +125,15 @@ def test_snapshot_restore_continues_bit_identical(
     for batch in batches[:cut]:
         baseline.ingest(batch)
         resumed.ingest(batch)
-    # round-trip through pickle: the snapshot must be plain picklable data
-    # (this is exactly what crosses the supervisor's pipe)
-    resumed.restore(pickle.loads(pickle.dumps(baseline.snapshot())))
+    # the snapshot is bytes: exactly what crosses the supervisor's pipe
+    resumed.restore(baseline.snapshot())
     tail_a, tail_b = [], []
     for batch in batches[cut:]:
         tail_a.extend(baseline.ingest(batch))
         tail_b.extend(resumed.ingest(batch))
     tail_a.extend(baseline.close_all())
     tail_b.extend(resumed.close_all())
-    assert len(tail_a) == len(tail_b)
-    for got, expected in zip(tail_b, tail_a):
-        assert type(got) is type(expected)
-        assert got.flow == expected.flow
-        if isinstance(got, SessionReport):
-            assert_report_identical(got.report, expected.report)
-        else:
-            assert got == expected
+    assert_events_identical(tail_b, tail_a)
 
 
 def test_snapshot_does_not_alias_live_state(fitted_pipeline, runtime_sessions):
@@ -139,18 +143,71 @@ def test_snapshot_does_not_alias_live_state(fitted_pipeline, runtime_sessions):
     engine = StreamingEngine(fitted_pipeline)
     for batch in batches[:cut]:
         engine.ingest(batch)
-    frozen = pickle.dumps(engine.snapshot())
+    frozen = engine.snapshot()
     reference = StreamingEngine(fitted_pipeline)
-    reference.restore(pickle.loads(frozen))
+    reference.restore(frozen)
     for batch in batches[cut:]:
         engine.ingest(batch)
     engine.close_all()
     # the snapshot taken at the cut still restores to the cut, not the end
-    assert pickle.dumps(engine.snapshot()) != frozen
+    assert engine.snapshot() != frozen
     resumed = StreamingEngine(fitted_pipeline)
-    resumed.restore(pickle.loads(frozen))
+    resumed.restore(frozen)
     assert resumed.live_flows == reference.live_flows
     assert resumed.state_nbytes() == reference.state_nbytes()
+
+
+def test_checkpoint_under_overload_restores_exactly(
+    fitted_pipeline, runtime_sessions
+):
+    """A snapshot taken right after a shed resumes the overload run exactly.
+
+    The fourth flow opens in the first tick after the cut, so it must see
+    the restored soft-overload flag to open degraded like the baseline's.
+    """
+    feed = SessionFeed(
+        runtime_sessions + runtime_sessions[:1],
+        batch_seconds=4.0,
+        start_offsets=[0.0, 60.0, 120.0, 124.0],
+    )
+    batches = list(feed)
+
+    def engine():
+        built = StreamingEngine(
+            fitted_pipeline,
+            overload=OverloadPolicy(max_live_flows=2, soft_state_bytes=1),
+            analytics=True,
+        )
+        for key, context in feed.flow_contexts.items():
+            built.set_flow_context(key, context)
+        return built
+
+    baseline = engine()
+    cut = None
+    for index, batch in enumerate(batches):
+        if any(isinstance(event, FlowShed) for event in baseline.ingest(batch)):
+            cut = index + 1
+            break
+    assert cut is not None and cut < len(batches), "the cap must shed mid-feed"
+    assert baseline.n_degraded_opens > 0
+    blob = baseline.snapshot()
+    # configuration never rides a checkpoint: a state object holding the
+    # pipeline or a kernel would bloat every snapshot
+    assert b"ContextClassificationPipeline" not in blob
+    assert b"ForestKernel" not in blob
+    resumed = engine()
+    resumed.restore(blob)
+    tail_a, tail_b = [], []
+    for batch in batches[cut:]:
+        tail_a.extend(baseline.ingest(batch))
+        tail_b.extend(resumed.ingest(batch))
+    tail_a.extend(baseline.close_all())
+    tail_b.extend(resumed.close_all())
+    assert_events_identical(tail_b, tail_a)
+    assert baseline.shed_packets > 0
+    assert resumed.shed_packets == baseline.shed_packets
+    assert resumed.n_degraded_opens == baseline.n_degraded_opens
+    assert resumed.analytics.digest() == baseline.analytics.digest()
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +518,121 @@ def test_engine_handles_hostile_batch_end_to_end(fitted_pipeline):
     assert len(events) == 3  # one SessionStarted per distinct flow
     reports = engine.close_all()
     assert sum(isinstance(event, SessionReport) for event in reports) == 3
+
+
+def _with_rows(batch, rows, timestamps, sizes, directions):
+    """``batch`` plus copies of its ``rows`` carrying the given columns."""
+    extra = batch.take(np.asarray(rows))
+    extra = dataclasses.replace(
+        extra,
+        timestamps=np.asarray(timestamps, dtype=float),
+        payload_sizes=np.asarray(sizes, dtype=float),
+        directions=np.asarray(directions, dtype=np.int8),
+    )
+    return PacketColumns.concat([batch, extra])
+
+
+def _poisoned_feed(runtime_sessions):
+    """A clean feed, and a copy with malformed rows mixed into three batches.
+
+    Each malformed row reuses a live flow's address; the far-future
+    timestamps of the finite-time rows would advance the feed clock by
+    1000 s if they were not rejected first.
+    """
+    feed = SessionFeed(runtime_sessions, batch_seconds=4.0)
+    clean = list(feed)
+    poisoned = list(clean)
+    future = float(clean[-1].timestamps.max()) + 1000.0
+    nan, inf = float("nan"), float("inf")
+    poisoned[2] = _with_rows(
+        clean[2],
+        [0, 1, 2, 3],
+        # non-finite time wins over every other defect on the same row
+        [nan, inf, -inf, nan],
+        [100.0, -5.0, 100.0, nan],
+        [UPSTREAM_CODE, DOWNSTREAM_CODE, 9, -1],
+    )
+    poisoned[5] = _with_rows(
+        clean[5],
+        [0, 1, 2],
+        # a negative (or NaN) size wins over a bad direction
+        [future, future, future],
+        [-1.0, nan, -40.0],
+        [DOWNSTREAM_CODE, UPSTREAM_CODE, 3],
+    )
+    poisoned[7] = _with_rows(
+        clean[7], [0, 1], [future, future], [900.0, 0.0], [2, -128]
+    )
+    expected = {"non_finite_time": 4, "negative_size": 3, "bad_direction": 2}
+    return feed, clean, poisoned, expected
+
+
+def test_demux_rejects_malformed_rows_into_one_counter_each(runtime_sessions):
+    _feed, clean, poisoned, expected = _poisoned_feed(runtime_sessions)
+    demux = FlowDemux()
+    for clean_batch, batch in zip(clean, poisoned):
+        pairs = demux.split_indices(batch)
+        # only the clean rows survive, each in exactly one group
+        admitted = np.sort(np.concatenate([rows for _key, rows in pairs]))
+        np.testing.assert_array_equal(admitted, np.arange(len(clean_batch)))
+        assert demux.newest_admitted == float(clean_batch.timestamps.max())
+    assert demux.rejected_rows == expected
+
+
+def test_engine_reports_on_valid_rows_equal_offline(
+    fitted_pipeline, runtime_sessions, runtime_offline_reports
+):
+    """Malformed rows neither reach a session nor move the feed clock."""
+    feed, clean, poisoned, expected = _poisoned_feed(runtime_sessions)
+    events = {}
+    for name, batches in (("clean", clean), ("poisoned", poisoned)):
+        engine = StreamingEngine(fitted_pipeline)
+        for key, context in feed.flow_contexts.items():
+            engine.set_flow_context(key, context)
+        events[name] = [e for batch in batches for e in engine.ingest(batch)]
+        events[name].extend(engine.close_all())
+    assert engine.rejected_rows == expected
+    assert events["poisoned"] == events["clean"]
+    for port, report in reports_by_client_port(events["poisoned"]).items():
+        assert_report_identical(report, runtime_offline_reports[port - 52000])
+
+
+@pytest.mark.parametrize("backend", ["serial", "fork"])
+def test_sharded_feed_stats_count_rejected_rows(
+    fitted_pipeline, runtime_sessions, runtime_offline_reports, backend
+):
+    feed, _clean, poisoned, expected = _poisoned_feed(runtime_sessions)
+
+    class Poisoned:
+        flow_contexts = feed.flow_contexts
+
+        def __iter__(self):
+            return iter(poisoned)
+
+    engine = ShardedEngine(fitted_pipeline, n_workers=2, backend=backend)
+    reports = reports_by_client_port(engine.run_feed(Poisoned()))
+    assert engine.last_feed_stats["rejected_rows"] == expected
+    assert len(reports) == len(runtime_sessions)
+    for port, report in reports.items():
+        assert_report_identical(report, runtime_offline_reports[port - 52000])
+
+
+@pytest.mark.parametrize("mode", SESSION_MODES)
+def test_session_report_counts_origin_shifts(fitted_pipeline, runtime_sessions, mode):
+    """A batch re-delivered before the session origin is flagged at close."""
+    batches = list(SessionFeed(runtime_sessions, batch_seconds=4.0))
+    in_order = StreamingEngine(fitted_pipeline, session_mode=mode)
+    reordered = StreamingEngine(fitted_pipeline, session_mode=mode)
+    clean = [e for batch in batches for e in in_order.ingest(batch)]
+    clean.extend(in_order.close_all())
+    # the first batch arrives last: its rows predate every flow's origin
+    late = [e for batch in batches[1:] + batches[:1] for e in reordered.ingest(batch)]
+    late.extend(reordered.close_all())
+    closes = [e for e in clean if isinstance(e, SessionReport)]
+    shifted = [e for e in late if isinstance(e, SessionReport)]
+    assert [e.origin_shifts for e in closes] == [0] * len(runtime_sessions)
+    assert len(shifted) == len(runtime_sessions)
+    assert all(e.origin_shifts > 0 for e in shifted)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ import pytest
 from repro.analytics import (
     DEFAULT_REGION,
     CentroidSketch,
-    FleetAggregator,
     LogBucketHistogram,
     StatsAccumulator,
     fold_corpus,
@@ -112,7 +111,7 @@ def test_sketch_snapshot_round_trip_is_exact(kind):
     cls = SKETCHES[kind]
     sketch = cls()
     sketch.add_many(_values(9))
-    clone = cls.from_snapshot(pickle.loads(pickle.dumps(sketch.snapshot())))
+    clone = pickle.loads(pickle.dumps(sketch, protocol=pickle.HIGHEST_PROTOCOL))
     assert clone.digest() == sketch.digest()
     # the clone keeps folding identically
     sketch.add_many(_values(10, 500))
@@ -256,13 +255,14 @@ def test_aggregator_snapshot_round_trip_mid_run(fitted_pipeline, runtime_session
     cut = len(batches) // 2
     for batch in batches[:cut]:
         engine.ingest(batch)
-    # mid-run: live flows hold pending state; it must survive the pickle
-    # round-trip exactly (this is what crosses the supervisor's pipe)
+    # mid-run: live flows hold pending state; it must survive the engine
+    # checkpoint exactly (this is what crosses the supervisor's pipe)
     fleet = engine.analytics
     assert fleet.n_live_flows > 0
-    clone = FleetAggregator.from_snapshot(
-        pickle.loads(pickle.dumps(fleet.snapshot()))
-    )
+    resumed = StreamingEngine(fitted_pipeline, session_mode="approx", analytics=True)
+    resumed.restore(engine.snapshot())
+    clone = resumed.analytics
+    assert clone is not fleet
     assert clone.digest() == fleet.digest()
 
 
@@ -318,8 +318,7 @@ def test_candidate_gap_ledger_is_chunking_invariant():
 def test_candidate_gap_ledger_survives_snapshot():
     reducer = ApproxQoEIntervalReducer(10.0)
     _absorb(reducer, [0.0, 1.0, 2.0], [0, 1, 5])
-    restored = ApproxQoEIntervalReducer(10.0)
-    restored.restore(pickle.loads(pickle.dumps(reducer.snapshot())))
+    restored = pickle.loads(pickle.dumps(reducer, protocol=pickle.HIGHEST_PROTOCOL))
     for target in (reducer, restored):
         _absorb(target, [11.0, 12.0], [6, 10], origin=0.0)
         sealed = target.advance(30.0, 0.0)
